@@ -1,6 +1,16 @@
-"""Command-line behavior: flags, config files, CSV determinism, exit codes."""
+"""Command-line behavior: flags, config files, CSV determinism, exit codes.
 
+``tests/data/cli_sha256.json`` holds the sha256 of every file written by
+``tdac reproduce`` for each figure and by the two config-file sweeps below.
+Regenerate it only when a correctness fix changes output values:
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,25 +268,68 @@ def test_reproduce_fig2_members(tmp_path):
 
 # --- config files ----------------------------------------------------------------
 
-def test_config_file_equivalent_to_flags(tmp_path, capsys):
-    run_cli(["transfer", "--q", 6, "--ratio", 0.8, "--tau2", 2.0,
-             "--out", tmp_path / "flags"])
+# each case: flag form, and the same experiment as config-file lines
+EQUIVALENT_FORMS = {
+    "transfer": (
+        ["transfer", "--q", 6, "--ratio", 0.8, "--tau2", 2.0],
+        ["base.q=6", "base.ratio=0.8", "base.tau2=2.0"],
+    ),
+    "transfer-signed": (
+        ["transfer", "--q", 8, "--tw", 0.6, "--vset", 1.5, "--cout", 2.0, "--signed",
+         "--gain-pos", 1.25, "--gain-neg", 0.75, "--baseline", -0.1],
+        ["base.q=8", "base.tw=0.6", "base.vset=1.5", "base.cout=2.0", "signed.enabled=true",
+         "signed.gain_pos=1.25", "signed.gain_neg=0.75", "signed.baseline=-0.1"],
+    ),
+    "transfer-quadrature": (
+        ["transfer", "--q", 4, "--ratio", 0.7, "--engine", "quadrature", "--steps-per-slot", 32],
+        ["base.q=4", "base.ratio=0.7", "engine=quadrature", "sampling.steps_per_slot=32"],
+    ),
+    "waveform": (
+        ["waveform", "--code", "10110001", "--q", 8, "--tau1", 1.3, "--tau2", 0.7, "--tw", 0.2,
+         "--vset", 1.1, "--cout", 0.9, "--v0", 0.1, "--t-end", 4.0, "--dt-out", 0.05],
+        ["code=10110001", "base.q=8", "leak.tau1=1.3", "base.tau2=0.7", "base.tw=0.2",
+         "base.vset=1.1", "base.cout=0.9", "leak.v0=0.1", "sampling.t_end=4.0",
+         "sampling.dt_out=0.05"],
+    ),
+    "waveform-numeric": (
+        ["waveform", "--code", "1101", "--ratio", 0.4, "--engine", "numeric", "--dt", 0.01,
+         "--t-end", 2.0],
+        ["code=1101", "base.ratio=0.4", "engine=numeric", "sampling.dt=0.01",
+         "sampling.t_end=2.0"],
+    ),
+    "fit": (
+        ["fit", "--input", "{tmp}/in.csv", "--model", "dual", "--max-iterations", 50],
+        ["input={tmp}/in.csv", "model=dual", "fit.max_iterations=50"],
+    ),
+    "calibrate": (
+        ["calibrate", "--tau2", 2.0, "--q", 6, "--lo", 0.6, "--hi", 2.4],
+        ["base.tau2=2.0", "base.q=6", "lo=0.6", "hi=2.4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENT_FORMS))
+def test_config_file_equivalent_to_flags(case, tmp_path, capsys):
+    t = np.linspace(0.0, 8.0, 300)
+    _write_csv(tmp_path / "in.csv", t, dual_exp_waveform(1.0, 1.0, 0.5, t))
+    flags, lines = EQUIVALENT_FORMS[case]
+    flags = [str(a).replace("{tmp}", str(tmp_path)) for a in flags]
+    assert run_cli(flags + ["--out", tmp_path / "flags"]) == 0
     out_flags = capsys.readouterr().out.replace(str(tmp_path / "flags"), "@")
     cfg = tmp_path / "exp.cfg"
+    body = "\n".join(line.replace("{tmp}", str(tmp_path)) for line in lines)
     cfg.write_text(
         "# same experiment, file form\n"
-        "experiment=transfer\n"
-        "base.q=6\n"
-        "base.ratio=0.8\n"
-        "base.tau2=2.0\n"
+        f"experiment={flags[0]}\n{body}\n"
         f"out={tmp_path / 'file'}\n"
     )
     assert run_cli(["--config", cfg]) == 0
     out_file = capsys.readouterr().out.replace(str(tmp_path / "file"), "@")
     assert out_flags == out_file
-    a = (tmp_path / "flags" / "transfer.csv").read_bytes()
-    b = (tmp_path / "file" / "transfer.csv").read_bytes()
-    assert a == b
+    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    for name in names:
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -300,13 +353,27 @@ def test_config_command_mismatch_rejected(tmp_path):
     assert run_cli(["--config", cfg, "calibrate"]) == 1
 
 
-def test_config_sweep_ratio_experiment(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
+SWEEP_CONFIGS = {
+    "sweep-ratio": (
         "experiment=sweep-ratio\n"
         "base.q=4\n"
         "sweep.ratios=0.5,0.6931471805599453,0.9\n"
-    )
+    ),
+    "sweep-code": (
+        "experiment=sweep-code\n"
+        "base.tw=0.25\n"
+        "base.tau2=0.5\n"
+        "leak.tau1=1.0\n"
+        "sampling.t_end=4.0\n"
+        "sampling.dt_out=0.02\n"
+        "sweep.codes=11111111,10101010\n"
+    ),
+}
+
+
+def test_config_sweep_ratio_experiment(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIGS["sweep-ratio"])
     assert run_cli(["--config", cfg, "--out", tmp_path]) == 0
     manifest = (tmp_path / "sweep_ratio_manifest.txt").read_text()
     names = manifest.split("files=")[1].strip().split(",")
@@ -319,15 +386,7 @@ def test_config_sweep_ratio_experiment(tmp_path):
 
 def test_config_sweep_code_experiment(tmp_path):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "experiment=sweep-code\n"
-        "base.tw=0.25\n"
-        "base.tau2=0.5\n"
-        "leak.tau1=1.0\n"
-        "sampling.t_end=4.0\n"
-        "sampling.dt_out=0.02\n"
-        "sweep.codes=11111111,10101010\n"
-    )
+    cfg.write_text(SWEEP_CONFIGS["sweep-code"])
     assert run_cli(["--config", cfg, "--out", tmp_path]) == 0
     for name in ("sweep_code_11111111.csv", "sweep_code_10101010.csv"):
         header, rows = read_rows(tmp_path / name)
@@ -353,3 +412,45 @@ def test_csv_uses_17_significant_digits(tmp_path):
     for row in rows:
         text = row.split(",")[1]
         assert format(float(text), ".17g") == text
+
+
+# --- byte identity ------------------------------------------------------------------
+
+FIGURES = ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig6-shape", "fig7-shape"]
+DIGESTS = Path(__file__).parent / "data" / "cli_sha256.json"
+
+
+def output_digests(case, out_dir):
+    """sha256 of every file one figure or sweep writes, keyed by file name."""
+    if case in SWEEP_CONFIGS:
+        cfg = out_dir / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIGS[case])
+        argv = ["--config", cfg, "--out", out_dir / "out"]
+    else:
+        argv = ["reproduce", case, "--out", out_dir / "out"]
+    assert run_cli(argv) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((out_dir / "out").iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", FIGURES + sorted(SWEEP_CONFIGS))
+def test_outputs_match_committed_digests(case, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[case]
+    assert output_digests(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        table = {}
+        for case in FIGURES + sorted(SWEEP_CONFIGS):
+            (Path(tmp) / case).mkdir()
+            table[case] = output_digests(case, Path(tmp) / case)
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"{sum(map(len, table.values()))} digests written to {DIGESTS}")
