@@ -125,6 +125,9 @@ class FitResult:
     iterations: int
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness is checked first
+        if not all(map(math.isfinite, (self.v_set_fit, self.tau1_fit, self.tau2_fit, self.sse))):
+            raise ValueError("fitted values and sse must be finite")
         if self.tau1_fit <= 0.0 or self.tau2_fit <= 0.0:
             raise ValueError("fitted time constants must be positive")
         if self.sse < 0.0:

@@ -15,8 +15,11 @@ Exit codes: 0 success, 1 input or data error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,166 +76,6 @@ def _waveform_rows(wf: Waveform) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# experiment config files
-
-_CONVERTERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-}
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in {"true", "1", "yes", "on"}:
-        return True
-    if low in {"false", "0", "no", "off"}:
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-def _convert(conv: str, key: str, value: str, path) -> object:
-    try:
-        if conv == "bool":
-            return _parse_bool(value)
-        if conv == "float_list":
-            return [float(x) for x in value.split(",") if x.strip()]
-        if conv == "str_list":
-            return [x.strip() for x in value.split(",") if x.strip()]
-        return _CONVERTERS[conv](value)
-    except ValueError as exc:
-        raise ValueError(f"{path}: key {key!r}: {exc}") from None
-
-
-_BASE_TRANSFER_KEYS = {
-    "base.q": ("q", "int"),
-    "base.tau2": ("tau2", "float"),
-    "base.vset": ("vset", "float"),
-    "base.cout": ("cout", "float"),
-}
-
-_FILE_KEYS: dict[str, dict[str, tuple[str, str]]] = {
-    "transfer": {
-        **_BASE_TRANSFER_KEYS,
-        "base.ratio": ("ratio", "float"),
-        "base.tw": ("tw", "float"),
-        "engine": ("engine", "str"),
-        "sampling.steps_per_slot": ("steps_per_slot", "int"),
-        "signed.enabled": ("signed", "bool"),
-        "signed.gain_pos": ("gain_pos", "float"),
-        "signed.gain_neg": ("gain_neg", "float"),
-        "signed.baseline": ("baseline", "float"),
-    },
-    "waveform": {
-        **_BASE_TRANSFER_KEYS,
-        "code": ("code", "str"),
-        "base.ratio": ("ratio", "float"),
-        "base.tw": ("tw", "float"),
-        "leak.tau1": ("tau1", "float"),
-        "leak.v0": ("v0", "float"),
-        "sampling.t_end": ("t_end", "float"),
-        "sampling.dt_out": ("dt_out", "float"),
-        "sampling.dt": ("dt", "float"),
-        "engine": ("engine", "str"),
-    },
-    "sweep-ratio": {
-        **_BASE_TRANSFER_KEYS,
-        "sweep.ratios": ("ratios", "float_list"),
-    },
-    "sweep-code": {
-        **_BASE_TRANSFER_KEYS,
-        "sweep.codes": ("codes", "str_list"),
-        "base.ratio": ("ratio", "float"),
-        "base.tw": ("tw", "float"),
-        "leak.tau1": ("tau1", "float"),
-        "leak.v0": ("v0", "float"),
-        "sampling.t_end": ("t_end", "float"),
-        "sampling.dt_out": ("dt_out", "float"),
-        "sampling.dt": ("dt", "float"),
-        "engine": ("engine", "str"),
-    },
-    "fit": {
-        "input": ("input", "str"),
-        "model": ("model", "str"),
-        "fit.max_iterations": ("max_iterations", "int"),
-    },
-    "calibrate": {
-        "base.q": ("q", "int"),
-        "base.tau2": ("tau2", "float"),
-        "lo": ("lo", "float"),
-        "hi": ("hi", "float"),
-    },
-    "reproduce": {
-        "figure": ("figure", "str"),
-    },
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "transfer": dict(
-        q=8, ratio=None, tw=None, tau2=1.0, vset=1.0, cout=1.0,
-        engine="closed-form", steps_per_slot=256,
-        signed=False, gain_pos=1.0, gain_neg=1.0, baseline=0.0,
-    ),
-    "waveform": dict(
-        code=None, q=None, ratio=None, tw=None, tau2=1.0, vset=1.0, cout=1.0,
-        tau1=1.0, v0=0.0, t_end=None, dt_out=None, dt=None, engine="analytic",
-    ),
-    "sweep-ratio": dict(q=8, tau2=1.0, vset=1.0, cout=1.0, ratios=None),
-    "sweep-code": dict(
-        codes=None, ratio=None, tw=None, tau2=1.0, vset=1.0, cout=1.0,
-        tau1=1.0, v0=0.0, t_end=None, dt_out=None, dt=None, engine="analytic",
-    ),
-    "fit": dict(input=None, model=None, max_iterations=200),
-    "calibrate": dict(q=8, tau2=1.0, lo=None, hi=None),
-    "reproduce": dict(figure=None),
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A parsed experiment file: kind, output directory, parameter block."""
-
-    kind: str
-    out: str | None
-    params: dict
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {path}: {exc}") from None
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
-        kind = raw.pop("experiment", None)
-        if kind is None:
-            raise ValueError(f"{path}: missing experiment= line")
-        if kind not in _FILE_KEYS:
-            raise ValueError(f"{path}: unknown experiment kind {kind!r}")
-        out = raw.pop("out", None)
-        allowed = _FILE_KEYS[kind]
-        params = {}
-        for key, value in raw.items():
-            if key not in allowed:
-                # unknown keys are hard errors so typos cannot silently vanish
-                raise ValueError(f"{path}: unknown key {key!r} for experiment {kind!r}")
-            dest, conv = allowed[key]
-            params[dest] = _convert(conv, key, value, path)
-        return cls(kind, out, params)
-
-
-# ---------------------------------------------------------------------------
 # runners
 
 def _resolve_tw(params, what: str) -> float:
@@ -272,10 +115,8 @@ def _run_transfer(params, out_dir: Path) -> int:
             for v in range(n)
         ]
         curve = TransferCurve(np.arange(n), np.array(outputs), config)
-    elif params["engine"] == "closed-form":
-        curve = transfer_curve(config)
     else:
-        raise ValueError(f"unknown engine {params['engine']!r}")
+        curve = transfer_curve(config)
     path = out_dir / "transfer.csv"
     _write_text_atomic(path, _csv_text("code,v_out", _transfer_rows(curve)))
     print(f"csv={path}")
@@ -302,10 +143,8 @@ def _run_waveform(params, out_dir: Path) -> int:
         if dt is None:
             dt = min(tw / 16.0, 1e-2 * min(leak.tau1, config.tau2, tw))
         wf = simulate_leaky_numeric(config, leak, code, t_end, dt)
-    elif params["engine"] == "analytic":
-        wf = simulate_leaky(config, leak, code, t_end, params["dt_out"])
     else:
-        raise ValueError(f"unknown engine {params['engine']!r}")
+        wf = simulate_leaky(config, leak, code, t_end, params["dt_out"])
     path = out_dir / "waveform.csv"
     _write_text_atomic(path, _csv_text("t,v", _waveform_rows(wf)))
     t_peak, v_peak = peak_of(wf)
@@ -337,6 +176,8 @@ def _read_waveform_csv(path) -> Waveform:
             t, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric row {line!r}") from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"line {lineno}: non-finite value")
         if prev is not None and t <= prev:
             raise ValueError(f"line {lineno}: time values must be strictly increasing")
         prev = t
@@ -376,56 +217,63 @@ def _run_calibrate(params, out_dir: Path) -> int:
     return 0
 
 
-def _run_sweep_ratio(params, out_dir: Path) -> int:
-    ratios = params["ratios"]
-    if not ratios:
-        raise UsageError("sweep-ratio needs sweep.ratios=<r1,r2,...>")
+def _ratio_sweep(params, head, prefix: str, labels):
+    # member i is the transfer curve at params["ratios"][i], named prefix + labels[i]
     files = []
-    for r in ratios:
+    for label, r in zip(labels, params["ratios"]):
         cfg = TdacConfig(q=params["q"], t_w=r * params["tau2"], tau2=params["tau2"],
                          v_set=params["vset"], c_out=params["cout"])
-        curve = transfer_curve(cfg)
-        files.append((f"sweep_ratio_{_fmt(r)}.csv", "code,v_out", _transfer_rows(curve)))
+        files.append((f"{prefix}{label}.csv", "code,v_out", _transfer_rows(transfer_curve(cfg))))
     manifest = [
-        ("experiment", "sweep-ratio"),
+        head,
         ("q", str(params["q"])),
         ("tau2", _fmt(params["tau2"])),
         ("vset", _fmt(params["vset"])),
         ("cout", _fmt(params["cout"])),
-        ("ratios", ",".join(_fmt(r) for r in ratios)),
+        ("ratios", ",".join(_fmt(r) for r in params["ratios"])),
     ]
+    return files, manifest
+
+
+def _code_sweep(params, head, prefix: str, fields):
+    # one leaky waveform per code, named prefix + code; the manifest lists
+    # the codes, then the numbers named in fields
+    leak = LeakConfig(tau1=params["tau1"], v0=params["v0"])
+    t_end = params["t_end"]
+    files = []
+    for text in params["codes"]:
+        code = DigitalCode.from_string(text)
+        cfg = TdacConfig(q=code.q, t_w=params["tw"], tau2=params["tau2"],
+                         v_set=params["vset"], c_out=params["cout"])
+        if t_end is None:
+            t_end = default_t_end(cfg, leak)
+        wf = simulate_leaky(cfg, leak, code, t_end, params["dt_out"])
+        files.append((f"{prefix}{text}.csv", "t,v", _waveform_rows(wf)))
+    values = dict(params, t_end=t_end)
+    manifest = [
+        head,
+        ("codes", ",".join(params["codes"])),
+        *((key, _fmt(values[key])) for key in fields),
+        ("dt_out", "default" if params["dt_out"] is None else _fmt(params["dt_out"])),
+        ("engine", "analytic"),
+    ]
+    return files, manifest
+
+
+def _run_sweep_ratio(params, out_dir: Path) -> int:
+    if not params["ratios"]:
+        raise UsageError("sweep-ratio needs sweep.ratios=<r1,r2,...>")
+    labels = [_fmt(r) for r in params["ratios"]]
+    files, manifest = _ratio_sweep(params, ("experiment", "sweep-ratio"), "sweep_ratio_", labels)
     return _emit_members(files, manifest, "sweep_ratio_manifest.txt", out_dir)
 
 
 def _run_sweep_code(params, out_dir: Path) -> int:
-    codes = params["codes"]
-    if not codes:
+    if not params["codes"]:
         raise UsageError("sweep-code needs sweep.codes=<c1,c2,...>")
-    tw = _resolve_tw(params, "sweep-code")
-    leak = LeakConfig(tau1=params["tau1"], v0=params["v0"])
-    files = []
-    t_end = None
-    for text in codes:
-        code = DigitalCode.from_string(text)
-        cfg = TdacConfig(q=code.q, t_w=tw, tau2=params["tau2"],
-                         v_set=params["vset"], c_out=params["cout"])
-        if t_end is None:
-            t_end = params["t_end"] if params["t_end"] is not None else default_t_end(cfg, leak)
-        wf = simulate_leaky(cfg, leak, code, t_end, params["dt_out"])
-        files.append((f"sweep_code_{text}.csv", "t,v", _waveform_rows(wf)))
-    manifest = [
-        ("experiment", "sweep-code"),
-        ("codes", ",".join(codes)),
-        ("tw", _fmt(tw)),
-        ("tau1", _fmt(params["tau1"])),
-        ("tau2", _fmt(params["tau2"])),
-        ("vset", _fmt(params["vset"])),
-        ("cout", _fmt(params["cout"])),
-        ("v0", _fmt(params["v0"])),
-        ("t_end", _fmt(t_end)),
-        ("dt_out", "default" if params["dt_out"] is None else _fmt(params["dt_out"])),
-        ("engine", "analytic"),
-    ]
+    params = dict(params, tw=_resolve_tw(params, "sweep-code"))
+    fields = ("tw", "tau1", "tau2", "vset", "cout", "v0", "t_end")
+    files, manifest = _code_sweep(params, ("experiment", "sweep-code"), "sweep_code_", fields)
     return _emit_members(files, manifest, "sweep_code_manifest.txt", out_dir)
 
 
@@ -433,17 +281,8 @@ def _run_sweep_code(params, out_dir: Path) -> int:
 # figure reproduction
 
 def _fig2():
-    members = [("0.5", 0.5), ("ln2", LN2), ("0.9", 0.9)]
-    files = []
-    for label, r in members:
-        curve = transfer_curve(TdacConfig(q=8, t_w=r, tau2=1.0))
-        files.append((f"fig2_ratio_{label}.csv", "code,v_out", _transfer_rows(curve)))
-    manifest = [
-        ("figure", "fig2"), ("q", "8"), ("tau2", _fmt(1.0)),
-        ("vset", _fmt(1.0)), ("cout", _fmt(1.0)),
-        ("ratios", ",".join(_fmt(r) for _, r in members)),
-    ]
-    return files, manifest
+    params = dict(q=8, tau2=1.0, vset=1.0, cout=1.0, ratios=[0.5, LN2, 0.9])
+    return _ratio_sweep(params, ("figure", "fig2"), "fig2_ratio_", ["0.5", "ln2", "0.9"])
 
 
 def _fig3_tw_sweep(figure: str, tau1: float, tau2: float):
@@ -477,25 +316,14 @@ def _fig3_tw_sweep(figure: str, tau1: float, tau2: float):
 
 
 def _fig3_code_sweep(figure: str, tau1: float, tau2: float):
-    codes = ["11111111", "10101010", "01010101"]
     tw = LN2 * tau2
-    t_end = 10.0 * max(tau1, tau2) + 8.0 * tw
-    dt_out = 0.02 * max(tau1, tau2)
-    cfg = TdacConfig(q=8, t_w=tw, tau2=tau2)
-    leak = LeakConfig(tau1=tau1)
-    files = []
-    for text in codes:
-        wf = simulate_leaky(cfg, leak, DigitalCode.from_string(text), t_end, dt_out)
-        files.append((f"{figure}_code_{text}.csv", "t,v", _waveform_rows(wf)))
-    manifest = [
-        ("figure", figure), ("codes", ",".join(codes)),
-        ("q", "8"), ("tw", _fmt(tw)),
-        ("tau1", _fmt(tau1)), ("tau2", _fmt(tau2)),
-        ("vset", _fmt(1.0)), ("v0", _fmt(0.0)),
-        ("t_end", _fmt(t_end)), ("dt_out", _fmt(dt_out)),
-        ("engine", "analytic"),
-    ]
-    return files, manifest
+    params = dict(
+        codes=["11111111", "10101010", "01010101"], q=8, tw=tw, tau1=tau1, tau2=tau2,
+        vset=1.0, cout=1.0, v0=0.0, t_end=10.0 * max(tau1, tau2) + 8.0 * tw,
+        dt_out=0.02 * max(tau1, tau2),
+    )
+    fields = ("q", "tw", "tau1", "tau2", "vset", "v0", "t_end")
+    return _code_sweep(params, ("figure", figure), f"{figure}_code_", fields)
 
 
 def _fig6_shape():
@@ -563,22 +391,160 @@ def _run_reproduce(params, out_dir: Path) -> int:
     figure = params["figure"]
     if figure is None:
         raise UsageError("reproduce needs a figure id")
-    if figure not in _FIGURES:
-        known = ", ".join(sorted(_FIGURES))
-        raise UsageError(f"unknown figure id {figure!r}; known: {known}")
     files, manifest = _FIGURES[figure]()
     return _emit_members(files, manifest, f"{figure}_manifest.txt", out_dir)
 
 
-_RUNNERS = {
-    "transfer": _run_transfer,
-    "waveform": _run_waveform,
-    "sweep-ratio": _run_sweep_ratio,
-    "sweep-code": _run_sweep_code,
-    "fit": _run_fit,
-    "calibrate": _run_calibrate,
-    "reproduce": _run_reproduce,
+# command -> (runner, help); the sweeps have no flags and run from config files only
+_COMMANDS = {
+    "transfer": (_run_transfer, "full transfer curve plus linearity summary"),
+    "waveform": (_run_waveform, "leaky-mode output waveform for one code"),
+    "reproduce": (_run_reproduce, "emit the data files behind one figure"),
+    "fit": (_run_fit, "fit a synaptic-shape model to a t,v CSV"),
+    "calibrate": (_run_calibrate, "search the pulse width with minimal |INL|"),
+    "sweep-ratio": (_run_sweep_ratio, None),
+    "sweep-code": (_run_sweep_code, None),
 }
+
+
+# ---------------------------------------------------------------------------
+# the parameter table: the only description of each parameter
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in {"true", "1", "yes", "on"}:
+        return True
+    if low in {"false", "0", "no", "off"}:
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _list_of(conv):
+    return lambda value: [conv(x.strip()) for x in value.split(",") if x.strip()]
+
+
+@dataclass(frozen=True)
+class Param:
+    """A parameter of some commands: flag ``--name`` (dashes for underscores)
+    unless positional, config-file key ``key``; ``conv`` and ``choices`` apply
+    to flag and file values alike."""
+
+    name: str
+    conv: Callable[[str], object]
+    default: object
+    key: str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    positional: bool = False
+
+    def read(self, value: str, where: str) -> object:
+        try:
+            parsed = self.conv(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if self.choices is not None and parsed not in self.choices:
+            allowed = ", ".join(self.choices)
+            raise ValueError(f"{where}: invalid choice {value!r} (choose from {allowed})")
+        return parsed
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.positional:
+            parser.add_argument(self.name, nargs="?", choices=self.choices, help=self.help)
+            return
+        if self.conv is _parse_bool:
+            kind = dict(action="store_true")
+        else:
+            kind = dict(type=self.conv, choices=self.choices)
+        # the default None lets an absent flag leave a file value in place
+        parser.add_argument("--" + self.name.replace("_", "-"), dest=self.name,
+                            default=None, help=self.help, **kind)
+
+
+_CONVERTER = ("transfer", "waveform", "sweep-ratio", "sweep-code")
+_WIDTH = ("transfer", "waveform", "sweep-code")
+_LEAK = ("waveform", "sweep-code")
+
+# q and engine have one row per group of commands that share their default and choices
+_PARAMS = (
+    Param("code", str, None, "code", ("waveform",), help="MSB-first binary string, e.g. 10101010"),
+    Param("q", int, 8, "base.q", ("transfer", "sweep-ratio", "sweep-code", "calibrate")),
+    Param("q", int, None, "base.q", ("waveform",),
+          help="expected code width (checked against --code)"),
+    Param("ratio", float, None, "base.ratio", _WIDTH, help="t_w / tau2, alternative to --tw"),
+    Param("tw", float, None, "base.tw", _WIDTH),
+    Param("tau2", float, 1.0, "base.tau2", _CONVERTER + ("calibrate",)),
+    Param("vset", float, 1.0, "base.vset", _CONVERTER),
+    Param("cout", float, 1.0, "base.cout", _CONVERTER),
+    Param("tau1", float, 1.0, "leak.tau1", _LEAK),
+    Param("v0", float, 0.0, "leak.v0", _LEAK),
+    Param("t_end", float, None, "sampling.t_end", _LEAK),
+    Param("dt_out", float, None, "sampling.dt_out", _LEAK),
+    Param("dt", float, None, "sampling.dt", ("waveform",),
+          help="integration step for --engine numeric"),
+    Param("engine", str, "analytic", "engine", ("waveform",), ("analytic", "numeric")),
+    Param("engine", str, "closed-form", "engine", ("transfer",), ("closed-form", "quadrature")),
+    Param("steps_per_slot", int, 256, "sampling.steps_per_slot", ("transfer",)),
+    Param("signed", _parse_bool, False, "signed.enabled", ("transfer",),
+          help="use the eight-bit sign+magnitude model"),
+    Param("gain_pos", float, 1.0, "signed.gain_pos", ("transfer",)),
+    Param("gain_neg", float, 1.0, "signed.gain_neg", ("transfer",)),
+    Param("baseline", float, 0.0, "signed.baseline", ("transfer",)),
+    Param("ratios", _list_of(float), None, "sweep.ratios", ("sweep-ratio",)),
+    Param("codes", _list_of(str), None, "sweep.codes", ("sweep-code",)),
+    Param("input", str, None, "input", ("fit",), help="CSV file with header t,v"),
+    Param("model", str, None, "model", ("fit",), ("alpha", "dual")),
+    Param("max_iterations", int, 200, "fit.max_iterations", ("fit",)),
+    Param("lo", float, None, "lo", ("calibrate",)),
+    Param("hi", float, None, "hi", ("calibrate",)),
+    Param("figure", str, None, "figure", ("reproduce",), tuple(sorted(_FIGURES)), positional=True),
+)
+
+
+def _params_of(command: str) -> list[Param]:
+    return [p for p in _PARAMS if command in p.commands]
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A parsed experiment file: kind, output directory, parameter block."""
+
+    kind: str
+    out: str | None
+    params: dict
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {path}: {exc}") from None
+        raw: dict[str, str] = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            raw[key] = value.strip()
+        kind = raw.pop("experiment", None)
+        if kind is None:
+            raise ValueError(f"{path}: missing experiment= line")
+        if kind not in _COMMANDS:
+            raise ValueError(f"{path}: unknown experiment kind {kind!r}")
+        out = raw.pop("out", None)
+        allowed = {param.key: param for param in _params_of(kind)}
+        params = {}
+        for key, value in raw.items():
+            if key not in allowed:
+                # unknown keys are hard errors so typos cannot silently vanish
+                raise ValueError(f"{path}: unknown key {key!r} for experiment {kind!r}")
+            params[allowed[key].name] = allowed[key].read(value, f"{path}: key {key!r}")
+        return cls(kind, out, params)
 
 
 # ---------------------------------------------------------------------------
@@ -589,68 +555,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tdac",
         description="Behavioral time-domain DAC simulator and analysis tool.",
     )
-    parser.add_argument("--config", metavar="PATH",
-                        help="experiment file (key=value lines); flags override it")
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory for data files (default: .)")
-    parser.add_argument("--seed", type=int,
-                        help="reserved; all computation is deterministic")
-
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering a value parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
-    common.add_argument("--out", metavar="DIR", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-
+    for target, default in ((parser, None), (common, argparse.SUPPRESS)):
+        target.add_argument("--config", metavar="PATH", default=default,
+                            help="experiment file (key=value lines); flags override it")
+        target.add_argument("--out", metavar="DIR", default=default,
+                            help="output directory for data files (default: .)")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("transfer", parents=[common],
-                       help="full transfer curve plus linearity summary")
-    p.add_argument("--q", type=int)
-    p.add_argument("--ratio", type=float, help="t_w / tau2, alternative to --tw")
-    p.add_argument("--tw", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--vset", type=float)
-    p.add_argument("--cout", type=float)
-    p.add_argument("--engine", choices=["closed-form", "quadrature"])
-    p.add_argument("--steps-per-slot", dest="steps_per_slot", type=int)
-    p.add_argument("--signed", action="store_true", default=None,
-                   help="use the eight-bit sign+magnitude model")
-    p.add_argument("--gain-pos", dest="gain_pos", type=float)
-    p.add_argument("--gain-neg", dest="gain_neg", type=float)
-    p.add_argument("--baseline", type=float)
-
-    p = sub.add_parser("waveform", parents=[common], help="leaky-mode output waveform for one code")
-    p.add_argument("--code", help="MSB-first binary string, e.g. 10101010")
-    p.add_argument("--q", type=int, help="expected code width (checked against --code)")
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--tw", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--vset", type=float)
-    p.add_argument("--cout", type=float)
-    p.add_argument("--tau1", type=float)
-    p.add_argument("--v0", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--dt-out", dest="dt_out", type=float)
-    p.add_argument("--dt", type=float, help="integration step for --engine numeric")
-    p.add_argument("--engine", choices=["analytic", "numeric"])
-
-    p = sub.add_parser("reproduce", parents=[common], help="emit the data files behind one figure")
-    p.add_argument("figure", nargs="?", choices=sorted(_FIGURES))
-
-    p = sub.add_parser("fit", parents=[common], help="fit a synaptic-shape model to a t,v CSV")
-    p.add_argument("--input", help="CSV file with header t,v")
-    p.add_argument("--model", choices=["alpha", "dual"])
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-
-    p = sub.add_parser("calibrate", parents=[common], help="search the pulse width with minimal |INL|")
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--q", type=int)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-
+    for command, (_, text) in _COMMANDS.items():
+        if text is not None:
+            p = sub.add_parser(command, parents=[common], help=text)
+            for param in _params_of(command):
+                param.add_to(p)
     return parser
+
+
+# argparse reads "-1e-05" as an option (its negative-number pattern has no
+# exponent), so a flag followed by a negative number becomes --flag=value
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(arg):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -663,28 +598,30 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"config file declares experiment={exp.kind!r} "
             f"but the {args.command!r} command was given"
         )
-    params = dict(_DEFAULTS[command])
+    rows = _params_of(command)
+    params = {param.name: param.default for param in rows}
     if exp is not None:
         params.update(exp.params)
     if args.command is not None:
-        for key in _DEFAULTS[command]:
-            value = getattr(args, key, None)
+        for param in rows:
+            value = getattr(args, param.name, None)
             if value is not None:
-                params[key] = value
+                params[param.name] = value
     out_dir = Path(args.out or (exp.out if exp else None) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[command](params, out_dir)
+    return _COMMANDS[command][0](params, out_dir)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError, FloatingPointError) as exc:
+        # arithmetic errors end like bad input: one line, exit 1, no files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

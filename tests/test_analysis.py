@@ -11,6 +11,7 @@ from tdacsim import (
     LN2,
     BracketingError,
     DigitalCode,
+    FitResult,
     TdacConfig,
     Waveform,
     alpha_waveform,
@@ -206,6 +207,16 @@ def test_fit_non_convergence_is_reported_not_raised():
     result = fit_waveform(Waveform(t, v), "alpha", max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
+
+
+@pytest.mark.parametrize("field", ["v_set_fit", "tau1_fit", "tau2_fit", "sse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_result_rejects_non_finite_values(field, bad):
+    good = dict(model="alpha", v_set_fit=1.0, tau1_fit=1.0, tau2_fit=1.0, sse=0.0,
+                converged=False, iterations=3)
+    FitResult(**good)
+    with pytest.raises(ValueError, match="finite"):
+        FitResult(**dict(good, **{field: bad}))
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdacsim import LN2, alpha_waveform, dual_exp_waveform
+from tdacsim import LN2, alpha_waveform, cli, dual_exp_waveform
 from tdacsim.cli import main
 
 
@@ -188,10 +188,27 @@ def test_fit_alpha_on_dual_data_converges_with_larger_sse(tmp_path, capsys):
     assert float(out.split("sse=")[1].splitlines()[0]) > sse_dual
 
 
-def test_fit_malformed_csv_reports_line(tmp_path, capsys):
-    (tmp_path / "bad.csv").write_text("t,v\n0.0,0.0\n0.5,oops\n")
-    assert run_cli(["fit", "--input", tmp_path / "bad.csv", "--model", "alpha"]) == 1
-    assert "line 3" in capsys.readouterr().err
+@pytest.mark.parametrize("model", ["alpha", "dual"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{t},oops", "non-numeric row"),
+        ("{t},inf", "non-finite value"),
+        ("nan,{v}", "non-finite value"),
+    ],
+    ids=["oops", "inf", "nan"],
+)
+def test_fit_malformed_csv_reports_line(row, message, model, tmp_path, capsys):
+    # one bad row in an otherwise fittable trace: without the row check an
+    # inf or nan gave tau1_fit=nan and exit 3
+    t = np.linspace(0.0, 8.0, 40)
+    _write_csv(tmp_path / "bad.csv", t, alpha_waveform(1.0, 1.0, t))
+    lines = (tmp_path / "bad.csv").read_text().splitlines()
+    t2, v2 = lines[2].split(",")
+    lines[2] = row.format(t=t2, v=v2)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli(["fit", "--input", tmp_path / "bad.csv", "--model", model]) == 1
+    assert f"line 3: {message}" in capsys.readouterr().err
 
 
 def test_fit_non_converged_exits_3(tmp_path, capsys):
@@ -231,6 +248,33 @@ def test_no_command_is_usage_error():
 
 def test_unknown_figure_is_usage_error(tmp_path):
     assert run_cli(["reproduce", "fig99", "--out", tmp_path]) == 2
+
+
+def test_negative_value_in_e_notation_is_a_value(tmp_path):
+    argv = ["waveform", "--code", "1010", "--tw", 0.4, "--v0", "-1e-05", "--out", tmp_path]
+    assert run_cli(argv) == 0
+    _, rows = read_rows(tmp_path / "waveform.csv")
+    assert float(rows[0].split(",")[1]) == -1e-05
+    assert run_cli(["transfer", "--q", -3, "--ratio", 0.5, "--out", tmp_path]) == 1
+
+
+def test_seed_flag_is_gone(tmp_path):
+    assert run_cli(["transfer", "--q", 4, "--ratio", 0.5, "--seed", 1, "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+@pytest.mark.parametrize(
+    "argv", [["waveform", "--code", "1010", "--tw", 0.4], ["reproduce", "fig3b"]],
+    ids=["waveform", "fig3b"],
+)
+def test_arithmetic_error_is_one_line_exit_1(argv, error, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error("math range error")
+
+    monkeypatch.setattr(cli, "simulate_leaky", fail)
+    assert run_cli(argv + ["--out", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: math range error\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- reproduce content -------------------------------------------------------
@@ -344,6 +388,32 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("experiment=transfer\nbase.q=4\nbase.ratioo=0.5\n")
     assert run_cli(["--config", cfg]) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment=transfer\nbase.q=4\nbase.ratio=0.5\nengine=spline\n",
+        "experiment=waveform\ncode=1010\nbase.tw=0.4\nengine=closed-form\n",
+        "experiment=fit\ninput=in.csv\nmodel=dual-exponential\n",
+        "experiment=reproduce\nfigure=fig99\n",
+    ],
+    ids=["transfer-engine", "waveform-engine", "fit-model", "figure"],
+)
+def test_config_choices_checked_like_flags(text, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert run_cli(["--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["engine=analytic", "sampling.dt=0.01"])
+def test_sweep_code_rejects_engine_and_step_keys(line, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIGS["sweep-code"] + line + "\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path]) == 1
     assert "unknown key" in capsys.readouterr().err
 
 
