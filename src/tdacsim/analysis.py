@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DigitalCode, TdacConfig, convert_closed_form
+from .core import TdacConfig, _require_curve_width, _slot_weights, code_sums
 from .ode import Waveform, peak_of
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,16 +55,10 @@ class TransferCurve:
 
 
 def transfer_curve(config: TdacConfig) -> TransferCurve:
-    """Enumerate the full leak-free transfer characteristic."""
-    if config.q > 16:
-        raise ValueError("full transfer-curve enumeration is limited to q <= 16")
-    n = 1 << config.q
-    outputs = np.empty(n)
-    for value in range(n):
-        outputs[value] = convert_closed_form(
-            config, DigitalCode.from_int(value, config.q)
-        )
-    return TransferCurve(np.arange(n), outputs, config)
+    """The full leak-free transfer characteristic, built from the q slot weights."""
+    _require_curve_width(config)
+    outputs = code_sums(_slot_weights(config))
+    return TransferCurve(np.arange(outputs.size), outputs, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +90,9 @@ def linearity_report(curve) -> LinearityReport:
         raise ValueError("degenerate flat curve: endpoint step is zero")
     diffs = np.diff(v)
     dnl = diffs / step - 1.0
-    inl = (v - (v[0] + step * np.arange(v.size))) / step
+    # offsets from v[0] first: subtracting the line from v itself loses whole
+    # steps to rounding when |v[0]| dwarfs the step
+    inl = ((v - v[0]) - step * np.arange(v.size)) / step
     return LinearityReport(
         lsb_step=step,
         dnl=dnl,

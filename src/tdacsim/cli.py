@@ -32,7 +32,7 @@ from .analysis import (
     linearity_report,
     transfer_curve,
 )
-from .core import LN2, DigitalCode, TdacConfig, convert_quadrature
+from .core import LN2, DigitalCode, TdacConfig, _require_curve_width, _slot_quadratures, code_sums
 from .ode import (
     LeakConfig,
     Waveform,
@@ -108,13 +108,9 @@ def _run_transfer(params, out_dir: Path) -> int:
         )
         curve = signed_transfer_curve(scfg)
     elif params["engine"] == "quadrature":
-        n = 1 << config.q
-        outputs = [
-            convert_quadrature(config, DigitalCode.from_int(v, config.q),
-                               params["steps_per_slot"])
-            for v in range(n)
-        ]
-        curve = TransferCurve(np.arange(n), np.array(outputs), config)
+        _require_curve_width(config)
+        sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
+        curve = TransferCurve(np.arange(sums.size), sums / config.c_out, config)
     else:
         curve = transfer_curve(config)
     path = out_dir / "transfer.csv"
@@ -468,7 +464,7 @@ _LEAK = ("waveform", "sweep-code")
 # q and engine have one row per group of commands that share their default and choices
 _PARAMS = (
     Param("code", str, None, "code", ("waveform",), help="MSB-first binary string, e.g. 10101010"),
-    Param("q", int, 8, "base.q", ("transfer", "sweep-ratio", "sweep-code", "calibrate")),
+    Param("q", int, 8, "base.q", ("transfer", "sweep-ratio", "calibrate")),
     Param("q", int, None, "base.q", ("waveform",),
           help="expected code width (checked against --code)"),
     Param("ratio", float, None, "base.ratio", _WIDTH, help="t_w / tau2, alternative to --tw"),

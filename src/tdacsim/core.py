@@ -188,10 +188,20 @@ def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:
         )
 
 
+def _require_curve_width(config: TdacConfig) -> None:
+    if config.q > 16:
+        raise ValueError("full transfer-curve enumeration is limited to q <= 16")
+
+
 @lru_cache(maxsize=512)
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
     # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
     # divided by c_out
+    if not config.identity_scc:
+        raise UnsupportedCharacteristicError(
+            "closed-form conversion requires the identity characteristic; "
+            "use convert_quadrature"
+        )
     r = config.ratio()
     scale = config.v_set * config.tau2 / config.c_out
     return tuple(
@@ -200,26 +210,48 @@ def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
     )
 
 
+def _set_bit_sum(slot_values: tuple[float, ...], code: DigitalCode) -> float:
+    # plain left fold, MSB slot first: sum() of floats is compensated from
+    # Python 3.12 on and would then differ from code_sums in the last bit
+    total = 0.0
+    for value, bit in zip(slot_values, reversed(code.bits)):
+        if bit:
+            total += value
+    return total
+
+
+def code_sums(slot_values) -> np.ndarray:
+    """Sum of the slot values of the set bits for every code, in code order.
+
+    ``slot_values`` run MSB slot first, so entry c is the output of code c
+    when the values are slot weights. The array doubles once per slot; a
+    clear bit adds an exact 0.0, so every entry is the same left fold as
+    the per-code conversion, to the last bit.
+    """
+    sums = np.zeros(1)
+    for value in slot_values:
+        sums = (sums[:, None] + np.array([0.0, value])).ravel()
+    return sums
+
+
 def convert_closed_form(config: TdacConfig, code: DigitalCode) -> float:
     """Leak-free conversion via the per-slot antiderivative of the drive.
 
     Valid only for the identity characteristic; any other scc must go
     through :func:`convert_quadrature`.
     """
-    if not config.identity_scc:
-        raise UnsupportedCharacteristicError(
-            "closed-form conversion requires the identity characteristic; "
-            "use convert_quadrature"
-        )
-    _require_matching_width(config, code)
     weights = _slot_weights(config)
-    return sum((w for k, w in enumerate(weights) if code.bit(config.q - k)), 0.0)
+    _require_matching_width(config, code)
+    return _set_bit_sum(weights, code)
 
 
 @lru_cache(maxsize=512)
 def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, ...]:
     # composite Simpson with slot edges as hard breakpoints: the bit gate is
     # discontinuous there, so no panel may straddle a boundary
+    steps_per_slot = operator.index(steps_per_slot)
+    if steps_per_slot < 16:
+        raise ValueError("steps_per_slot must be >= 16")
     out = []
     n_points = 2 * steps_per_slot + 1
     weights = np.ones(n_points)
@@ -244,13 +276,9 @@ def convert_quadrature(
     cross-check for :func:`convert_closed_form`. ``steps_per_slot`` counts
     Simpson panels per slot and must be at least 16.
     """
-    steps_per_slot = operator.index(steps_per_slot)
-    if steps_per_slot < 16:
-        raise ValueError("steps_per_slot must be >= 16")
-    _require_matching_width(config, code)
     integrals = _slot_quadratures(config, steps_per_slot)
-    total = sum((s for k, s in enumerate(integrals) if code.bit(config.q - k)), 0.0)
-    return total / config.c_out
+    _require_matching_width(config, code)
+    return _set_bit_sum(integrals, code) / config.c_out
 
 
 class RatioRegime(Enum):

@@ -30,6 +30,17 @@ from .core import (
 # as the equal-constant (alpha) case
 TAU_DEGENERACY_BAND = 1e-9
 
+# most samples (RK4 steps for the numeric engine) one simulation may produce;
+# checked before anything is allocated or stepped
+MAX_SAMPLES = 10**7
+
+
+def _require_sample_budget(samples: float, step_name: str) -> None:
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(
+            f"t_end / {step_name} asks for more than {MAX_SAMPLES} samples"
+        )
+
 
 @dataclass(frozen=True)
 class LeakConfig:
@@ -220,7 +231,10 @@ def simulate_leaky(
     if not (math.isfinite(dt_out) and dt_out > 0.0):
         raise ValueError("dt_out must be positive")
 
-    n_out = int(math.floor(t_end / dt_out * (1.0 + 1e-12)))
+    n_grid = t_end / dt_out * (1.0 + 1e-12)
+    # dt_out grid, slot edges and t_end itself
+    _require_sample_budget(n_grid + 1 + config.q + 2, "dt_out")
+    n_out = int(math.floor(n_grid))
     grid = np.arange(n_out + 1) * dt_out
     edges = np.arange(config.q + 1) * config.t_w
     times = np.unique(np.concatenate([grid, edges[edges <= t_end], [t_end]]))
@@ -255,6 +269,10 @@ def simulate_leaky_numeric(
             "dt must be at most t_w / 16 so slot boundaries are resolved"
         )
 
+    spans = _drive_intervals(config, code, t_end)
+    # each span takes at most span / dt + 1 steps
+    _require_sample_budget(t_end / dt + len(spans) + 1, "dt")
+
     scc = config.scc
     tau1 = leak.tau1
     tau2 = config.tau2
@@ -264,7 +282,7 @@ def simulate_leaky_numeric(
     times = [0.0]
     values = [leak.v0]
     v = leak.v0
-    for a, b, on in _drive_intervals(config, code, t_end):
+    for a, b, on in spans:
         n = max(1, math.ceil((b - a) / dt))
         h = (b - a) / n
         if on:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import TransferCurve
-from .core import DigitalCode, TdacConfig, convert_closed_form
+from .core import DigitalCode, TdacConfig, _slot_weights, code_sums, convert_closed_form
 from .ode import LeakConfig, Waveform, simulate_leaky
 
 SIGN_BIT = 8
@@ -69,9 +69,10 @@ def convert_signed(config: SignedTdacConfig, code: DigitalCode) -> float:
 
 
 def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
-    """All 256 signed outputs in code order."""
-    outputs = np.array(
-        [convert_signed(config, DigitalCode.from_int(v, 8)) for v in range(256)]
+    """All 256 signed outputs in code order: codes below 128 are negative."""
+    v7 = code_sums(_slot_weights(_magnitude_config(config)))
+    outputs = np.concatenate(
+        [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
     )
     return TransferCurve(np.arange(256), outputs, config)
 

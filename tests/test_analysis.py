@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdacsim import (
@@ -13,9 +13,11 @@ from tdacsim import (
     DigitalCode,
     FitResult,
     TdacConfig,
+    UnsupportedCharacteristicError,
     Waveform,
     alpha_waveform,
     calibrate_pulse_width,
+    convert_closed_form,
     convert_quadrature,
     dual_exp_waveform,
     fit_waveform,
@@ -56,6 +58,26 @@ def test_transfer_curve_equally_spaced_at_ln2():
 def test_transfer_curve_resource_limit():
     with pytest.raises(ValueError):
         transfer_curve(TdacConfig(q=17, t_w=LN2))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("ratio", [0.5, LN2, 0.9])
+def test_transfer_curve_equals_per_code_conversion(q, ratio):
+    # the per-code fold is the oracle: equal to the last bit, not approximately
+    cfg = TdacConfig(q=q, t_w=ratio * 2.3, tau2=2.3, v_set=1.37, c_out=0.61)
+    expected = [convert_closed_form(cfg, DigitalCode.from_int(c, q)) for c in range(1 << q)]
+    assert np.array_equal(transfer_curve(cfg).outputs, expected)
+
+
+def test_transfer_curve_rejects_non_identity_scc():
+    with pytest.raises(UnsupportedCharacteristicError):
+        transfer_curve(TdacConfig(q=4, t_w=LN2, scc=lambda v: v * v))
+
+
+def test_curves_make_no_per_code_calls(per_code_calls):
+    transfer_curve(TdacConfig(q=12, t_w=0.6))
+    calibrate_pulse_width(1.0, 8, (0.3, 1.2))
+    assert sum(per_code_calls.values()) == 0
 
 
 # --- linearity_report -------------------------------------------------------
@@ -127,6 +149,8 @@ def test_report_rejects_degenerate_inputs():
 @given(
     st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=2, max_size=40)
 )
+# an endpoint step one ulp of the values wide
+@example([9.999999999999998, 10.0, 10.0])
 def test_dnl_inl_telescoping(values):
     v = np.asarray(values)
     if v[-1] == v[0]:

@@ -15,7 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdacsim import LN2, alpha_waveform, cli, dual_exp_waveform
+from tdacsim import (
+    LN2,
+    DigitalCode,
+    TdacConfig,
+    alpha_waveform,
+    cli,
+    convert_quadrature,
+    dual_exp_waveform,
+)
 from tdacsim.cli import main
 
 
@@ -80,6 +88,43 @@ def test_transfer_quadrature_engine_matches(tmp_path):
         assert vb == pytest.approx(va, abs=1e-9)
 
 
+def test_transfer_quadrature_values_equal_per_code_conversion(tmp_path):
+    assert run_cli(["transfer", "--q", 4, "--ratio", 0.7, "--tau2", 1.7, "--vset", 1.3,
+                    "--cout", 0.6, "--engine", "quadrature", "--steps-per-slot", 32,
+                    "--out", tmp_path]) == 0
+    cfg = TdacConfig(q=4, t_w=0.7 * 1.7, tau2=1.7, v_set=1.3, c_out=0.6)
+    _, rows = read_rows(tmp_path / "transfer.csv")
+    # 17 significant digits round-trip, so the written values compare exactly
+    assert [float(r.split(",")[1]) for r in rows] == [
+        convert_quadrature(cfg, DigitalCode.from_int(c, 4), 32) for c in range(16)
+    ]
+
+
+def test_transfer_quadrature_rejects_coarse_rule(tmp_path, capsys):
+    argv = ["transfer", "--q", 4, "--ratio", 0.7, "--engine", "quadrature",
+            "--steps-per-slot", 8, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: steps_per_slot must be >= 16\n"
+    assert not (tmp_path / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize("engine", ["closed-form", "quadrature"])
+def test_transfer_width_limit(engine, tmp_path, capsys):
+    argv = ["transfer", "--q", 17, "--ratio", 0.7, "--engine", engine, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: full transfer-curve enumeration is limited to q <= 16\n"
+    )
+    assert not (tmp_path / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize("engine", ["closed-form", "quadrature"])
+def test_transfer_makes_no_per_code_calls(engine, per_code_calls, tmp_path):
+    argv = ["transfer", "--q", 12, "--ratio", 0.7, "--engine", engine, "--out", tmp_path]
+    assert run_cli(argv) == 0
+    assert sum(per_code_calls.values()) == 0
+
+
 def test_transfer_requires_tw_or_ratio(tmp_path, capsys):
     assert run_cli(["transfer", "--q", 8, "--out", tmp_path]) == 2
 
@@ -137,6 +182,17 @@ def test_waveform_alternating_codes_have_different_peaks(tmp_path, capsys):
 def test_waveform_code_length_mismatch_exits_1(tmp_path):
     assert run_cli(["waveform", "--code", "1010", "--q", 8, "--tw", 0.1,
                     "--out", tmp_path]) == 1
+
+
+@pytest.mark.parametrize("engine", [["analytic"], ["numeric", "--dt", 1e-3]])
+def test_waveform_sample_budget_exits_1(engine, tmp_path, capsys):
+    # 1e12 samples: rejected from the count alone, before any array or step
+    argv = ["waveform", "--code", "1010", "--tw", 0.5, "--t-end", 1e9, "--dt-out", 1e-3,
+            "--engine", *engine, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_waveform_numeric_engine_agrees(tmp_path):
@@ -409,7 +465,7 @@ def test_config_choices_checked_like_flags(text, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["engine=analytic", "sampling.dt=0.01"])
+@pytest.mark.parametrize("line", ["engine=analytic", "sampling.dt=0.01", "base.q=3"])
 def test_sweep_code_rejects_engine_and_step_keys(line, tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIGS["sweep-code"] + line + "\n")

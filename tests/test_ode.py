@@ -17,6 +17,7 @@ from tdacsim import (
     alpha_waveform,
     dual_exp_waveform,
     leaky_voltage,
+    ode,
     peak_of,
     simulate_leaky,
     simulate_leaky_numeric,
@@ -184,6 +185,26 @@ def test_numeric_rejects_coarse_step():
     cfg = TdacConfig(q=4, t_w=0.1, tau2=1.0)
     with pytest.raises(ValueError):
         simulate_leaky_numeric(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4), 1.0, 0.05)
+
+
+def test_sample_budget_checked_before_allocation():
+    cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
+    leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
+    # 1e12 samples: rejected from the count alone, before any array or step
+    with pytest.raises(ValueError, match="samples"):
+        simulate_leaky(cfg, leak, code, 1e9, 1e-3)
+    with pytest.raises(ValueError, match="samples"):
+        simulate_leaky_numeric(cfg, leak, code, 1e9, 1e-3)
+
+
+def test_sample_budget_bounds_every_run(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_SAMPLES", 120)
+    cfg = TdacConfig(q=4, t_w=2.0, tau2=1.0)
+    leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
+    for simulate in (simulate_leaky, simulate_leaky_numeric):
+        assert len(simulate(cfg, leak, code, 10.0, 0.1)) <= 120
+        with pytest.raises(ValueError, match="samples"):
+            simulate(cfg, leak, code, 12.0, 0.1)
 
 
 def test_numeric_agrees_with_propagator():

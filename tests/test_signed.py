@@ -12,6 +12,7 @@ from tdacsim import (
     LeakConfig,
     SignedTdacConfig,
     TdacConfig,
+    UnsupportedCharacteristicError,
     convert_signed,
     linearity_report,
     signed_transfer_curve,
@@ -59,6 +60,21 @@ def test_transfer_curve_regions():
     # sign-magnitude mirror: code 128+m carries the same magnitude as code m
     m = np.arange(1, 128)
     assert np.array_equal(v[128 + m], -v[m])
+
+
+def test_transfer_curve_equals_per_code_conversion(per_code_calls):
+    base = TdacConfig(q=8, t_w=0.61, tau2=0.9, v_set=1.2, c_out=0.8)
+    cfg = _scfg(base=base, gain_pos=1.3, gain_neg=0.7, baseline=-0.25)
+    curve = signed_transfer_curve(cfg)
+    assert sum(per_code_calls.values()) == 0
+    expected = [convert_signed(cfg, DigitalCode.from_int(v, 8)) for v in range(256)]
+    assert np.array_equal(curve.outputs, expected)
+
+
+def test_transfer_curve_rejects_non_identity_scc():
+    base = TdacConfig(q=8, t_w=LN2, scc=lambda v: v * v)
+    with pytest.raises(UnsupportedCharacteristicError):
+        signed_transfer_curve(_scfg(base=base))
 
 
 def test_gain_pos_scales_only_positive_region():
