@@ -4,6 +4,7 @@ calibration."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,13 @@ def linearity_report(curve) -> LinearityReport:
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need at least two curve entries")
     step = (float(v[-1]) - float(v[0])) / (v.size - 1)
-    if step == 0.0:
+    if v[-1] == v[0]:
         raise ValueError("degenerate flat curve: endpoint step is zero")
+    # DNL and INL are in step units: a step that underflows to zero, or is so
+    # small that the curve's spread (and the running sums of its DNL) has no
+    # finite value in them, cannot measure the curve
+    if step == 0.0 or float(np.ptp(v)) / abs(step) > sys.float_info.max / v.size:
+        raise ValueError("endpoint step too small for the spread of the curve")
     diffs = np.diff(v)
     dnl = diffs / step - 1.0
     # offsets from v[0] first: subtracting the line from v itself loses whole

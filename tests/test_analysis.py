@@ -1,6 +1,7 @@
 """Transfer-curve metrics, shape fitting, and pulse-width calibration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -145,16 +146,34 @@ def test_report_rejects_degenerate_inputs():
         linearity_report(np.array([0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("values", [
+    [2.225073858507203e-309, 1.0, 0.0],  # subnormal step: a unit spread is 1e309 steps
+    [0.0, 0.0, 5e-324],  # endpoints differ, but their step underflows to zero
+])
+def test_report_rejects_step_too_small_for_its_spread(values):
+    with pytest.raises(ValueError, match="too small"):
+        linearity_report(np.array(values))
+
+
 @settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=2, max_size=40)
 )
 # an endpoint step one ulp of the values wide
 @example([9.999999999999998, 10.0, 10.0])
+# a subnormal endpoint step beside a unit spread, and one that rounds to zero
+@example([2.225073858507203e-309, 1.0, 0.0])
+@example([0.0, 0.0, 5e-324])
 def test_dnl_inl_telescoping(values):
     v = np.asarray(values)
     if v[-1] == v[0]:
         v[-1] = v[0] + 1.0
+    step = (float(v[-1]) - float(v[0])) / (v.size - 1)
+    if step == 0.0 or float(np.ptp(v)) / abs(step) > sys.float_info.max / v.size:
+        # no finite DNL and INL in step units: rejected, not returned as inf/nan
+        with pytest.raises(ValueError):
+            linearity_report(v)
+        return
     report = linearity_report(v)
     # sum of DNL[0..i-1] equals INL[i] - INL[0] within roundoff, which
     # scales with the DNL magnitude when the endpoint step is tiny
