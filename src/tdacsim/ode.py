@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .core import (
     TdacConfig,
     UnsupportedCharacteristicError,
     _require_matching_width,
-    make_schedule,
 )
 
 # relative |tau1 - tau2| below which the two-constant response is treated
@@ -111,26 +111,32 @@ def _phi_scalar(x: float) -> float:
 def _drive_intervals(
     config: TdacConfig, code: DigitalCode, t_end: float
 ) -> list[tuple[float, float, bool]]:
-    """Constant-drive stretches covering [0, t_end], merged over equal gates."""
-    spans: list[list] = []
-    for slot in make_schedule(config).slots:
-        if slot.t_start >= t_end:
+    """Constant-drive stretches covering [0, t_end], merged over equal gates.
+
+    Slot k spans [k t_w, (k+1) t_w] and carries bit B_{q-k}, MSB first, so
+    each run of equal bits is one stretch; slots at or past t_end are not
+    reached and the last reached stretch is clipped to t_end.
+    """
+    t_w = config.t_w
+    spans: list[tuple[float, float, bool]] = []
+    k = 0
+    for on, run in groupby(reversed(code.bits)):
+        start = k * t_w
+        if start >= t_end:
             break
-        on = bool(code.bit(slot.bit_index))
-        end = min(slot.t_end, t_end)
-        if spans and spans[-1][2] == on:
-            spans[-1][1] = end
-        else:
-            spans.append([slot.t_start, end, on])
-    tail_start = config.q * config.t_w
+        k += len(list(run))
+        spans.append((start, k * t_w, on))
+    if spans and spans[-1][1] > t_end:
+        spans[-1] = (spans[-1][0], t_end, spans[-1][2])
+    tail_start = config.q * t_w
     if tail_start < t_end:
-        if spans and spans[-1][2] is False:
-            spans[-1][1] = t_end
+        if spans and not spans[-1][2]:
+            spans[-1] = (spans[-1][0], t_end, False)
         else:
-            spans.append([tail_start, t_end, False])
+            spans.append((tail_start, t_end, False))
     if not spans:
-        spans.append([0.0, t_end, False])
-    return [tuple(s) for s in spans]
+        spans.append((0.0, t_end, False))
+    return spans
 
 
 def leaky_voltage(
@@ -141,15 +147,21 @@ def leaky_voltage(
 ) -> np.ndarray:
     """Exact piecewise-analytic solution sampled at the given times.
 
-    ``times`` must be sorted and non-negative. On every constant-drive
-    stretch [a, b] the state advances by
+    ``times`` must be finite, sorted and non-negative. On every
+    constant-drive stretch [a, b] the state advances by
 
         V(t) = V(a) exp(-(t-a)/tau1)
              + v_set (t-a) exp(-a/tau2 - (t-a)/tau1) phi(lam (t-a))
 
-    with lam = 1/tau1 - 1/tau2 and phi(x) = (e^x - 1)/x. The phi form is
-    well conditioned for every lam, including the equal-time-constant
-    limit, so no branch can divide by zero. Identity scc only.
+    with lam = 1/tau1 - 1/tau2 and phi(x) = (e^x - 1)/x, continued with 1
+    at x = 0, so the equal-time-constant limit needs no branch. One scalar
+    pass over the stretches records each one's start, gate and state V(a);
+    then every sample finds its stretch by binary search over the stretch
+    ends (a sample on an edge belongs to the later stretch) and all samples
+    are evaluated in one array expression. The form still overflows where
+    lam (t-a) passes about 709, a leak much faster than the drive: the
+    state advance raises ``OverflowError`` and a sample gives inf or NaN.
+    Identity scc only.
     """
     if not config.identity_scc:
         raise UnsupportedCharacteristicError(
@@ -160,6 +172,8 @@ def leaky_voltage(
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("sample times must be finite")
     if t[0] < 0.0:
         raise ValueError("sample times must be >= 0")
     if t.size > 1 and np.any(np.diff(t) < 0.0):
@@ -170,34 +184,31 @@ def leaky_voltage(
     v_set = config.v_set
     lam = 1.0 / tau1 - 1.0 / tau2
 
-    out = np.empty_like(t)
-    spans = _drive_intervals(config, code, float(t[-1])) if t[-1] > 0.0 else [
-        (0.0, float(t[-1]), False)
-    ]
-    v_state = leak.v0
-    lo = 0
-    for idx, (a, b, on) in enumerate(spans):
-        last = idx == len(spans) - 1
-        hi = t.size if last else int(np.searchsorted(t, b, side="left"))
-        sel = t[lo:hi]
-        if sel.size:
-            dt = sel - a
-            v = v_state * np.exp(-dt / tau1)
-            if on:
-                v = v + v_set * dt * np.exp(-a / tau2 - dt / tau1) * _phi(lam * dt)
-            out[lo:hi] = v
-        lo = hi
-        if not last:
-            span = b - a
-            nxt = v_state * math.exp(-span / tau1)
-            if on:
-                nxt += (
-                    v_set
-                    * span
-                    * math.exp(-a / tau2 - span / tau1)
-                    * _phi_scalar(lam * span)
-                )
-            v_state = nxt
+    spans = _drive_intervals(config, code, float(t[-1]))
+    starts, ends, gates = zip(*spans)
+    states = [leak.v0]
+    # the state at the end of the last stretch is never sampled, and its
+    # advance may overflow, so it is not computed
+    for a, b, on in spans[:-1]:
+        span = b - a
+        v_state = states[-1] * math.exp(-span / tau1)
+        if on:
+            v_state += (
+                v_set
+                * span
+                * math.exp(-a / tau2 - span / tau1)
+                * _phi_scalar(lam * span)
+            )
+        states.append(v_state)
+
+    k = np.searchsorted(ends[:-1], t, side="right")
+    a = np.array(starts)[k]
+    dt = t - a
+    out = np.array(states)[k] * np.exp(-dt / tau1)
+    on = np.array(gates)[k]
+    a = a[on]
+    dt = dt[on]
+    out[on] = out[on] + v_set * dt * np.exp(-a / tau2 - dt / tau1) * _phi(lam * dt)
     return out
 
 

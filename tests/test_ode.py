@@ -170,7 +170,173 @@ def test_leaky_voltage_input_checks():
         leaky_voltage(cfg, leak, code, [-0.1, 0.5])
     with pytest.raises(ValueError):
         leaky_voltage(cfg, leak, code, [0.5, 0.1])
+    # NaN passes both the sign and the order check, so finiteness is its own
+    for bad in ([0.0, math.nan], [math.nan], [0.0, math.inf], [-math.inf, 0.5],
+                [0.0, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            leaky_voltage(cfg, leak, code, bad)
     assert leaky_voltage(cfg, leak, code, [0.0])[0] == 0.0
+
+
+# Reference for the propagator: the per-span loop it replaced, kept verbatim
+# (5-6 numpy calls per span), on spans enumerated bit by bit. The one-pass
+# propagator must reproduce it to the last bit.
+
+def _enumerated_intervals(config, code, t_end):
+    # gate of every slot [k t_w, (k+1) t_w], B_q first, merged over equal gates
+    spans = []
+    for k in range(config.q):
+        start = k * config.t_w
+        if start >= t_end:
+            break
+        on = code.bit(config.q - k)
+        end = min((k + 1) * config.t_w, t_end)
+        if spans and spans[-1][2] == on:
+            spans[-1][1] = end
+        else:
+            spans.append([start, end, on])
+    tail_start = config.q * config.t_w
+    if tail_start < t_end:
+        if spans and spans[-1][2] is False:
+            spans[-1][1] = t_end
+        else:
+            spans.append([tail_start, t_end, False])
+    if not spans:
+        spans.append([0.0, t_end, False])
+    return [tuple(s) for s in spans]
+
+
+def _phi_reference(x):
+    out = np.ones_like(x)
+    nz = x != 0.0
+    out[nz] = np.expm1(x[nz]) / x[nz]
+    return out
+
+
+def _phi_scalar_reference(x):
+    return math.expm1(x) / x if x != 0.0 else 1.0
+
+
+def _per_span_leaky_voltage(config, leak, code, times):
+    t = np.asarray(times, dtype=float)
+    tau1 = leak.tau1
+    tau2 = config.tau2
+    v_set = config.v_set
+    lam = 1.0 / tau1 - 1.0 / tau2
+
+    out = np.empty_like(t)
+    spans = _enumerated_intervals(config, code, float(t[-1])) if t[-1] > 0.0 else [
+        (0.0, float(t[-1]), False)
+    ]
+    v_state = leak.v0
+    lo = 0
+    for idx, (a, b, on) in enumerate(spans):
+        last = idx == len(spans) - 1
+        hi = t.size if last else int(np.searchsorted(t, b, side="left"))
+        sel = t[lo:hi]
+        if sel.size:
+            dt = sel - a
+            v = v_state * np.exp(-dt / tau1)
+            if on:
+                v = v + v_set * dt * np.exp(-a / tau2 - dt / tau1) * _phi_reference(lam * dt)
+            out[lo:hi] = v
+        lo = hi
+        if not last:
+            span = b - a
+            nxt = v_state * math.exp(-span / tau1)
+            if on:
+                nxt += (
+                    v_set
+                    * span
+                    * math.exp(-a / tau2 - span / tau1)
+                    * _phi_scalar_reference(lam * span)
+                )
+            v_state = nxt
+    return out
+
+
+def _t_end_cases(config):
+    # before the first edge, on an inner edge, inside a slot, on the end of
+    # the conversion window and past it
+    window = config.q * config.t_w
+    return [
+        0.3 * config.t_w,
+        (config.q // 2) * config.t_w,
+        0.55 * window,
+        window,
+        window + 0.5 * config.t_w,
+        3.0 * window,
+    ]
+
+
+def _sample_times(config, t_end, rng):
+    # a grid, every slot edge up to t_end exactly, and repeated times
+    edges = np.arange(config.q + 1) * config.t_w
+    grid = np.linspace(0.0, t_end, 97)
+    t = np.concatenate([grid, edges[edges <= t_end], [t_end]])
+    t = np.sort(np.concatenate([t, rng.choice(t, size=8)]))
+    return t
+
+
+def _random_cases():
+    rng = np.random.default_rng(20260)
+    cases = []
+    for q in range(1, 17):
+        for _ in range(3):
+            value = int(rng.integers(0, 1 << q))
+            t_w = float(rng.uniform(0.05, 1.0))
+            tau2 = float(rng.uniform(0.2, 2.0))
+            tau1 = float(rng.uniform(0.2, 2.0))
+            v0 = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
+            cases.append((q, value, t_w, tau2, tau1, v0))
+    return cases
+
+
+_ALTERNATING = "10" * 128
+_PROPAGATOR_CASES = _random_cases() + [
+    # q = 256 alternating codes, lam > 0, lam < 0 and lam == 0
+    (256, int(code, 2), 0.01, tau2, tau1, v0)
+    for code in (_ALTERNATING, _ALTERNATING[::-1])
+    for tau2, tau1, v0 in ((1.0, 0.5, 0.0), (0.5, 1.0, 0.3), (0.7, 0.7, -1.2))
+]
+
+_CASE_IDS = [f"q{case[0]}-{i}" for i, case in enumerate(_PROPAGATOR_CASES)]
+
+
+@pytest.mark.parametrize("q, value, t_w, tau2, tau1, v0", _PROPAGATOR_CASES, ids=_CASE_IDS)
+def test_propagator_equals_per_span_loop(q, value, t_w, tau2, tau1, v0):
+    cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2, v_set=1.7)
+    leak = LeakConfig(tau1=tau1, v0=v0)
+    code = DigitalCode.from_int(value, q)
+    rng = np.random.default_rng(value)
+    for t_end in _t_end_cases(cfg):
+        t = _sample_times(cfg, t_end, rng)
+        expected = _per_span_leaky_voltage(cfg, leak, code, t)
+        assert np.array_equal(leaky_voltage(cfg, leak, code, t), expected)
+    for t in ([0.0], [0.0, 0.0], [t_w, t_w, 2.5 * t_w]):
+        expected = _per_span_leaky_voltage(cfg, leak, code, t)
+        assert np.array_equal(leaky_voltage(cfg, leak, code, t), expected)
+
+
+@pytest.mark.parametrize("q, value, t_w, tau2, tau1, v0", _PROPAGATOR_CASES, ids=_CASE_IDS)
+def test_drive_spans_equal_per_bit_enumeration(q, value, t_w, tau2, tau1, v0):
+    cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2)
+    code = DigitalCode.from_int(value, q)
+    for t_end in _t_end_cases(cfg) + [0.0]:
+        assert ode._drive_intervals(cfg, code, t_end) == _enumerated_intervals(
+            cfg, code, t_end
+        )
+
+
+def test_propagator_makes_no_per_span_calls(propagator_calls):
+    q = 512
+    cfg = TdacConfig(q=q, t_w=0.01, tau2=0.01 / LN2)
+    code = DigitalCode.from_string("10" * (q // 2))
+    t = np.linspace(0.0, 3.0 * q * cfg.t_w, 4001)
+    v = leaky_voltage(cfg, LeakConfig(tau1=1.0), code, t)
+    assert np.all(np.isfinite(v)) and v.max() > 0.0
+    assert propagator_calls["_phi"] <= 1
+    assert propagator_calls["make_schedule"] == 0
 
 
 # --- simulate_leaky_numeric ------------------------------------------------
