@@ -19,17 +19,14 @@ from .analysis import (
 from .core import (
     LN2,
     DigitalCode,
-    PulseSchedule,
     RatioCheck,
     RatioRegime,
-    Slot,
     TdacConfig,
     UnsupportedCharacteristicError,
     convert_closed_form,
     convert_quadrature,
     drive_voltage,
     linearity_ratio,
-    make_schedule,
 )
 from .ode import (
     LeakConfig,
@@ -58,11 +55,9 @@ __all__ = [
     "FitResult",
     "LeakConfig",
     "LinearityReport",
-    "PulseSchedule",
     "RatioCheck",
     "RatioRegime",
     "SignedTdacConfig",
-    "Slot",
     "TdacConfig",
     "TransferCurve",
     "UnsupportedCharacteristicError",
@@ -79,7 +74,6 @@ __all__ = [
     "leaky_voltage",
     "linearity_ratio",
     "linearity_report",
-    "make_schedule",
     "peak_of",
     "signed_transfer_curve",
     "simulate_leaky",

@@ -13,6 +13,8 @@ from .core import TdacConfig, _require_curve_width, _slot_weights, code_sums
 from .ode import Waveform, peak_of
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section search stops once its bracket is this fraction of tau2
+_CALIBRATION_REL_TOL = 1e-7
 
 
 class BracketingError(ValueError):
@@ -28,38 +30,29 @@ def _config_bits(config) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TransferCurve:
-    """Output for every code 0 .. 2^q - 1, in code order."""
+    """Output for every code 0 .. 2^q - 1, in code order: entry c is code c."""
 
-    codes: np.ndarray
     outputs: np.ndarray
     config: object
 
     def __post_init__(self):
-        c = np.array(self.codes, dtype=int)
         v = np.array(self.outputs, dtype=float)
-        if c.ndim != 1 or v.shape != c.shape or c.size < 2:
-            raise ValueError("codes and outputs must be matching 1-D arrays")
-        if not np.array_equal(c, np.arange(c.size)):
-            raise ValueError("codes must run 0 .. 2^q - 1 in order")
-        if c.size != (1 << _config_bits(self.config)):
+        if v.ndim != 1:
+            raise ValueError("outputs must be a 1-D array")
+        if v.size != (1 << _config_bits(self.config)):
             raise ValueError("curve must cover every code of the configured width")
-        c.flags.writeable = False
         v.flags.writeable = False
-        object.__setattr__(self, "codes", c)
         object.__setattr__(self, "outputs", v)
 
     def __len__(self) -> int:
-        return self.codes.size
-
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(c), float(v)) for c, v in zip(self.codes, self.outputs)]
+        return self.outputs.size
 
 
 def transfer_curve(config: TdacConfig) -> TransferCurve:
     """The full leak-free transfer characteristic, built from the q slot weights."""
     _require_curve_width(config)
     outputs = code_sums(_slot_weights(config))
-    return TransferCurve(np.arange(outputs.size), outputs, config)
+    return TransferCurve(outputs, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +129,7 @@ class FitResult:
             raise ValueError("sse cannot be negative")
 
 
-_MODEL_ALIASES = {
-    "alpha": "alpha",
-    "dual": "dual-exponential",
-    "dual-exponential": "dual-exponential",
-    "dual_exp": "dual-exponential",
-}
+_MODEL_KINDS = {"alpha": "alpha", "dual": "dual-exponential"}
 
 
 def _alpha_model(theta, t):
@@ -327,13 +315,14 @@ def _initial_dual(waveform):
 def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> FitResult:
     """Least-squares fit of a synaptic-shape model to a sampled waveform.
 
-    ``model`` is ``"alpha"`` or ``"dual"``/``"dual-exponential"``. Damped
-    Gauss-Newton iterations with analytic Jacobians do the work; if the
-    damping stalls three times in a row, a zooming log-grid search over the
-    time constants (amplitude solved linearly) reseeds a final polish.
-    Non-convergence is reported through the result, not raised.
+    ``model`` is ``"alpha"`` or ``"dual"``; the result names the second
+    ``"dual-exponential"``. Damped Gauss-Newton iterations with analytic
+    Jacobians do the work; if the damping stalls three times in a row, a
+    zooming log-grid search over the time constants (amplitude solved
+    linearly) reseeds a final polish. Non-convergence is reported through
+    the result, not raised.
     """
-    kind = _MODEL_ALIASES.get(str(model).lower())
+    kind = _MODEL_KINDS.get(model)
     if kind is None:
         raise ValueError(f"unknown model {model!r}; expected alpha or dual")
     if len(waveform) < 8:
@@ -391,7 +380,6 @@ def calibrate_pulse_width(
     search_bounds: tuple[float, float],
     v_set: float = 1.0,
     c_out: float = 1.0,
-    rel_tol: float = 1e-7,
 ) -> float:
     """Pulse width minimizing the transfer curve's max |INL|.
 
@@ -414,7 +402,7 @@ def calibrate_pulse_width(
         cfg = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
         return linearity_report(transfer_curve(cfg)).max_abs_inl
 
-    tol = rel_tol * tau2
+    tol = _CALIBRATION_REL_TOL * tau2
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)

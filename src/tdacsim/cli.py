@@ -68,7 +68,7 @@ def _csv_text(header: str, rows: list[str]) -> str:
 
 
 def _transfer_rows(curve: TransferCurve) -> list[str]:
-    return [f"{int(c)},{_fmt(v)}" for c, v in zip(curve.codes, curve.outputs)]
+    return [f"{c},{_fmt(v)}" for c, v in enumerate(curve.outputs)]
 
 
 def _waveform_rows(wf: Waveform) -> list[str]:
@@ -110,7 +110,7 @@ def _run_transfer(params, out_dir: Path) -> int:
     elif params["engine"] == "quadrature":
         _require_curve_width(config)
         sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
-        curve = TransferCurve(np.arange(sums.size), sums / config.c_out, config)
+        curve = TransferCurve(sums / config.c_out, config)
     else:
         curve = transfer_curve(config)
     path = out_dir / "transfer.csv"

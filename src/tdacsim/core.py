@@ -1,4 +1,4 @@
-"""Digital codes, pulse schedules, and the leak-free conversion law.
+"""Digital codes, converter parameters, and the leak-free conversion law.
 
 A time-domain DAC weights each stored bit by sampling one decaying drive
 waveform in consecutive time slots, most significant bit first. Adjacent
@@ -104,74 +104,6 @@ class TdacConfig:
     @property
     def identity_scc(self) -> bool:
         return self.scc is None
-
-
-class Slot(NamedTuple):
-    bit_index: int  # 1-based; B_q occupies the first slot
-    t_start: float
-    t_end: float
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Contiguous width-t_w sampling windows, MSB first, starting at t = 0."""
-
-    slots: tuple[Slot, ...]
-
-    def __post_init__(self):
-        if not self.slots:
-            raise ValueError("a schedule needs at least one slot")
-        prev_end = 0.0
-        for s in self.slots:
-            if not s.t_end > s.t_start:
-                raise ValueError("slot windows must have positive width")
-            if s.t_start != prev_end:
-                raise ValueError("slots must be contiguous and non-overlapping")
-            prev_end = s.t_end
-
-    @property
-    def q(self) -> int:
-        return len(self.slots)
-
-    @property
-    def t_w(self) -> float:
-        return self.slots[0].t_end - self.slots[0].t_start
-
-    @property
-    def duration(self) -> float:
-        return self.slots[-1].t_end
-
-    def active_bit(self, t: float) -> int | None:
-        """1-based index of the bit whose slot contains t, None outside.
-
-        Slot membership is left-closed: a boundary instant belongs to the
-        later slot.
-        """
-        if t < 0.0 or t >= self.duration:
-            return None
-        k = min(int(t // self.t_w), self.q - 1)
-        # floor division can land one slot off at boundaries; nudge back
-        if t >= self.slots[k].t_end:
-            k += 1
-        elif t < self.slots[k].t_start:
-            k -= 1
-        return self.slots[k].bit_index
-
-    def drive_indicator(self, code: DigitalCode, t: float) -> int:
-        """Gate value at time t: 1 while the slot of a set bit is active."""
-        k = self.active_bit(t)
-        if k is None:
-            return 0
-        return 1 if code.bit(k) else 0
-
-
-def make_schedule(config: TdacConfig) -> PulseSchedule:
-    """Assign B_q to [0, t_w), B_{q-1} to [t_w, 2 t_w), and so on."""
-    tw = config.t_w
-    slots = tuple(
-        Slot(config.q - k, k * tw, (k + 1) * tw) for k in range(config.q)
-    )
-    return PulseSchedule(slots)
 
 
 def drive_voltage(config: TdacConfig, t: float) -> float:

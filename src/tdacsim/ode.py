@@ -4,11 +4,12 @@ With a leak resistor on the output node the voltage obeys
 
     dV/dt = -V / tau1 + v_set * exp(-t / tau2) * D(t)
 
-where D(t) gates the drive through the pulse schedule. D is constant
-between slot boundaries and each constant-D stretch has an exact
-variation-of-constants solution, so the primary engine is piecewise
-analytic. A classical fixed-step fourth-order integrator provides an
-independent numerical check of the same equation.
+where the gate D(t) is 1 during the width-t_w slot of each set bit (MSB
+first, from t = 0) and 0 otherwise. D is constant between slot boundaries
+and each constant-D stretch has an exact variation-of-constants solution,
+so the primary engine is piecewise analytic. A classical fixed-step
+fourth-order integrator provides an independent numerical check of the
+same equation.
 """
 
 from __future__ import annotations
@@ -328,8 +329,8 @@ def simulate_leaky_numeric(
 
 def alpha_waveform(v_set: float, tau1: float, t):
     """Equal-time-constant synaptic shape t * v_set * exp(-t / tau1)."""
-    if tau1 <= 0.0:
-        raise ValueError("tau1 must be positive")
+    if not (math.isfinite(tau1) and tau1 > 0.0):
+        raise ValueError("tau1 must be finite and positive")
     t = np.asarray(t, dtype=float)
     out = t * v_set * np.exp(-t / tau1)
     return float(out) if out.ndim == 0 else out
@@ -342,8 +343,8 @@ def dual_exp_waveform(v_set: float, tau1: float, tau2: float, t):
     Inside the degeneracy band the expression is numerically unstable and
     the exact equal-constant limit, the alpha shape, is returned instead.
     """
-    if tau1 <= 0.0 or tau2 <= 0.0:
-        raise ValueError("time constants must be positive")
+    if not all(math.isfinite(tau) and tau > 0.0 for tau in (tau1, tau2)):
+        raise ValueError("time constants must be finite and positive")
     if abs(tau1 - tau2) < TAU_DEGENERACY_BAND * tau1:
         return alpha_waveform(v_set, tau1, t)
     t = np.asarray(t, dtype=float)

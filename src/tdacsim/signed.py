@@ -74,7 +74,7 @@ def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
     outputs = np.concatenate(
         [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
     )
-    return TransferCurve(np.arange(256), outputs, config)
+    return TransferCurve(outputs, config)
 
 
 def simulate_signed_leaky(
@@ -86,7 +86,7 @@ def simulate_signed_leaky(
 ) -> Waveform:
     """Leaky-mode response of the signed converter.
 
-    Only the seven magnitude bits occupy schedule slots; the sign bit flips
+    Only the seven magnitude bits gate drive slots; the sign bit flips
     the polarity of the drive (and of the initial condition), so equal-gain
     waveforms of opposite sign are exact mirror images about the baseline.
     """

@@ -43,13 +43,11 @@ def per_code_calls(monkeypatch):
 
 @pytest.fixture
 def propagator_calls(monkeypatch):
-    """Count the per-span work and schedule builds of the leaky propagator.
+    """Count the per-span work of the leaky propagator.
 
     All samples are evaluated in one array expression, so a call that runs
     ``ode._phi`` once per driven span has fallen back to per-span numpy.
-    Drive spans come straight from the bits, never from ``make_schedule``.
     """
     counts = Counter()
     _count_calls(monkeypatch, counts, ode, "_phi")
-    _count_calls(monkeypatch, counts, core, "make_schedule")
     return counts

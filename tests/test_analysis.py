@@ -14,6 +14,7 @@ from tdacsim import (
     DigitalCode,
     FitResult,
     TdacConfig,
+    TransferCurve,
     UnsupportedCharacteristicError,
     Waveform,
     alpha_waveform,
@@ -32,12 +33,12 @@ from tdacsim import (
 
 def test_transfer_curve_two_bits_at_ln2():
     curve = transfer_curve(TdacConfig(q=2, t_w=LN2, tau2=1.0))
-    assert curve.entries()[0] == (0, 0.0)
+    assert curve.outputs[0] == 0.0
     expected = [0.0, 0.25, 0.5, 0.75]
     assert np.allclose(curve.outputs, expected, rtol=0, atol=1e-12)
     # cross-check against the quadrature oracle
     cfg = TdacConfig(q=2, t_w=LN2, tau2=1.0)
-    for value, v_out in curve.entries():
+    for value, v_out in enumerate(curve.outputs):
         assert v_out == pytest.approx(
             convert_quadrature(cfg, DigitalCode.from_int(value, 2), 512), abs=1e-9
         )
@@ -68,6 +69,14 @@ def test_transfer_curve_equals_per_code_conversion(q, ratio):
     cfg = TdacConfig(q=q, t_w=ratio * 2.3, tau2=2.3, v_set=1.37, c_out=0.61)
     expected = [convert_closed_form(cfg, DigitalCode.from_int(c, q)) for c in range(1 << q)]
     assert np.array_equal(transfer_curve(cfg).outputs, expected)
+
+
+@pytest.mark.parametrize("size", [2, 15, 17, 32])
+def test_transfer_curve_rejects_wrong_output_count(size):
+    cfg = TdacConfig(q=4, t_w=LN2)
+    assert len(TransferCurve(np.zeros(16), cfg)) == 16
+    with pytest.raises(ValueError, match="every code"):
+        TransferCurve(np.zeros(size), cfg)
 
 
 def test_transfer_curve_rejects_non_identity_scc():
@@ -244,6 +253,12 @@ def test_fit_rejects_degenerate_inputs():
         fit_waveform(_sampled(lambda t: alpha_waveform(1.0, 1.0, t)), "cubic")
 
 
+@pytest.mark.parametrize("model", ["dual-exponential", "dual_exp", "ALPHA", "Dual"])
+def test_fit_accepts_only_alpha_and_dual(model):
+    with pytest.raises(ValueError, match="expected alpha or dual"):
+        fit_waveform(_sampled(lambda t: alpha_waveform(1.0, 1.0, t)), model)
+
+
 def test_fit_non_convergence_is_reported_not_raised():
     t = np.linspace(0.0, 8.0, 200)
     v = alpha_waveform(1.0, 1.0, t) + 0.05 * np.sin(40.0 * t)
@@ -299,6 +314,13 @@ def test_calibration_across_scales():
     for tau2 in (0.1, 1.0, 10.0):
         got = calibrate_pulse_width(tau2, 8, (0.4 * tau2, 1.1 * tau2))
         assert abs(got - tau2 * LN2) <= 1e-6 * tau2 * LN2
+
+
+def test_calibration_has_no_tolerance_parameter():
+    # the stopping tolerance is a module constant: a NaN tolerance would end
+    # the search at once and return the bracket midpoint as a calibrated width
+    with pytest.raises(TypeError):
+        calibrate_pulse_width(1.0, 8, (0.3, 1.2), 1.0, 1.0, float("nan"))
 
 
 def test_calibration_rejects_non_bracketing_bounds():

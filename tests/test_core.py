@@ -1,4 +1,4 @@
-"""Codes, schedules, and the leak-free conversion paths."""
+"""Codes, converter parameters, and the leak-free conversion paths."""
 
 import math
 
@@ -17,7 +17,6 @@ from tdacsim import (
     convert_quadrature,
     drive_voltage,
     linearity_ratio,
-    make_schedule,
 )
 
 
@@ -75,42 +74,6 @@ def test_config_validation():
     cfg = TdacConfig(q=4, t_w=0.5, tau2=2.0)
     assert cfg.ratio() == 0.25
     assert cfg.identity_scc
-
-
-# --- make_schedule ---------------------------------------------------------
-
-def test_schedule_four_bits():
-    slots = make_schedule(TdacConfig(q=4, t_w=1.0)).slots
-    assert [(s.bit_index, s.t_start, s.t_end) for s in slots] == [
-        (4, 0.0, 1.0), (3, 1.0, 2.0), (2, 2.0, 3.0), (1, 3.0, 4.0),
-    ]
-
-
-def test_schedule_single_bit():
-    slots = make_schedule(TdacConfig(q=1, t_w=0.5)).slots
-    assert [(s.bit_index, s.t_start, s.t_end) for s in slots] == [(1, 0.0, 0.5)]
-
-
-def test_schedule_eight_bits_layout():
-    sched = make_schedule(TdacConfig(q=8, t_w=0.1))
-    assert sched.q == 8
-    assert sched.slots[-1].t_end == pytest.approx(0.8, abs=1e-15)
-    assert sched.slots[0].bit_index == 8
-    assert sched.slots[-1].bit_index == 1
-
-
-@given(
-    st.integers(min_value=1, max_value=10),
-    st.floats(min_value=0.01, max_value=3.0),
-    st.floats(min_value=-0.5, max_value=12.0),
-    st.integers(min_value=0, max_value=1023),
-)
-def test_drive_indicator_is_binary(q, tw, t, raw):
-    sched = make_schedule(TdacConfig(q=q, t_w=tw))
-    code = DigitalCode.from_int(raw % (1 << q), q)
-    assert sched.drive_indicator(code, t) in (0, 1)
-    if t < 0 or t >= q * tw:
-        assert sched.drive_indicator(code, t) == 0
 
 
 # --- drive_voltage ---------------------------------------------------------

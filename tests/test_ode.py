@@ -336,7 +336,6 @@ def test_propagator_makes_no_per_span_calls(propagator_calls):
     v = leaky_voltage(cfg, LeakConfig(tau1=1.0), code, t)
     assert np.all(np.isfinite(v)) and v.max() > 0.0
     assert propagator_calls["_phi"] <= 1
-    assert propagator_calls["make_schedule"] == 0
 
 
 # --- simulate_leaky_numeric ------------------------------------------------
@@ -437,6 +436,22 @@ def test_dual_exp_degenerate_band_uses_alpha():
     # just outside the band the two shapes agree to first order
     outside = dual_exp_waveform(1.0, 1.0, 1.0 + 1e-7, t)
     assert np.allclose(outside, alpha_waveform(1.0, 1.0, t), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda tau: alpha_waveform(1.0, tau, 1.0),
+        lambda tau: dual_exp_waveform(1.0, tau, 0.5, 1.0),
+        lambda tau: dual_exp_waveform(1.0, 1.0, tau, 1.0),
+    ],
+    ids=["alpha-tau1", "dual-tau1", "dual-tau2"],
+)
+def test_shapes_require_finite_positive_time_constants(shape, bad):
+    assert math.isfinite(shape(0.7))
+    with pytest.raises(ValueError, match="finite and positive"):
+        shape(bad)
 
 
 # --- peak_of ----------------------------------------------------------------
