@@ -4,6 +4,7 @@ calibration."""
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -15,6 +16,8 @@ from .ode import Waveform, peak_of
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section search stops once its bracket is this fraction of tau2
 _CALIBRATION_REL_TOL = 1e-7
+# the objective divides by 2^q - 1, which a float holds exactly up to here
+_CALIBRATION_MAX_BITS = 53
 
 
 class BracketingError(ValueError):
@@ -374,6 +377,35 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     )
 
 
+def _max_abs_inl(config: TdacConfig) -> float:
+    # max |INL| of the leak-free transfer curve from its q slot weights alone.
+    # The curve starts at 0.0 and ends at the left fold of the weights, and
+    # INL(c) = sum_k b_k (w_k / step - 2^k) is linear in the bits of c, so
+    # its extremes are the sum of the positive terms and of the negative ones
+    weights = _slot_weights(config)
+    total = 0.0
+    for w in weights:
+        total += w
+    n = 1 << config.q
+    if total == 0.0:
+        raise ValueError("degenerate flat curve: endpoint step is zero")
+    if not math.isfinite(total):
+        raise ValueError("slot weights overflow: v_set * tau2 / c_out is too large")
+    step = total / (n - 1)
+    # the same guard as linearity_report: the spread of a leak-free curve is
+    # its last entry
+    if step == 0.0 or total / step > sys.float_info.max / n:
+        raise ValueError("endpoint step too small for the spread of the curve")
+    above = below = 0.0
+    for k, w in enumerate(reversed(weights)):
+        d = w / step - (1 << k)
+        if d > 0.0:
+            above += d
+        else:
+            below -= d
+    return max(above, below)
+
+
 def calibrate_pulse_width(
     tau2: float,
     q: int,
@@ -384,23 +416,30 @@ def calibrate_pulse_width(
     """Pulse width minimizing the transfer curve's max |INL|.
 
     Golden-section search over the bounds; the objective is V-shaped around
-    its zero-INL optimum, so the search localizes tightly. A result pinned
-    against either bound means the bounds do not bracket the optimum and a
-    BracketingError is raised.
+    its zero-INL optimum, so the search localizes tightly. Each evaluation
+    takes max |INL| straight from the q slot weights in O(q), without
+    building the 2^q-entry curve, so q may run up to 53 (2^q - 1 must be
+    exact in a float); the ``tdac calibrate`` command stays at q <= 16,
+    because it also prints the enumerated curve's max |INL|. A result
+    pinned against either bound means the bounds do not bracket the
+    optimum and a BracketingError is raised.
     """
     lo, hi = (float(x) for x in search_bounds)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("search bounds must be finite")
     if not (0.0 < lo < hi):
         raise ValueError("search bounds must satisfy 0 < lo < hi")
     tau2 = float(tau2)
-    if tau2 <= 0.0:
-        raise ValueError("tau2 must be positive")
-    q = int(q)
+    if not (math.isfinite(tau2) and tau2 > 0.0):
+        raise ValueError(f"tau2 must be finite and positive, got {tau2!r}")
+    q = operator.index(q)
     if q < 2:
         raise ValueError("calibration needs at least two bits")
+    if q > _CALIBRATION_MAX_BITS:
+        raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
 
     def objective(tw: float) -> float:
-        cfg = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
-        return linearity_report(transfer_curve(cfg)).max_abs_inl
+        return _max_abs_inl(TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out))
 
     tol = _CALIBRATION_REL_TOL * tau2
     a, b = lo, hi

@@ -51,3 +51,18 @@ def propagator_calls(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, ode, "_phi")
     return counts
+
+
+@pytest.fixture
+def calibration_calls(monkeypatch):
+    """Count the curve work and the objective evaluations of a calibration.
+
+    The objective takes max |INL| from the slot weights, so a calibration
+    that builds a transfer curve or a linearity report has fallen back to
+    enumerating all 2^q codes.
+    """
+    counts = Counter()
+    for name in ("transfer_curve", "linearity_report", "_max_abs_inl"):
+        _count_calls(monkeypatch, counts, analysis, name)
+    _count_calls(monkeypatch, counts, core, "code_sums")
+    return counts

@@ -18,6 +18,7 @@ from tdacsim import (
     UnsupportedCharacteristicError,
     Waveform,
     alpha_waveform,
+    analysis,
     calibrate_pulse_width,
     convert_closed_form,
     convert_quadrature,
@@ -27,6 +28,7 @@ from tdacsim import (
     simulate_leaky,
     transfer_curve,
 )
+from tdacsim.analysis import _CALIBRATION_REL_TOL, _INV_PHI
 
 
 # --- transfer_curve ---------------------------------------------------------
@@ -326,5 +328,139 @@ def test_calibration_has_no_tolerance_parameter():
 def test_calibration_rejects_non_bracketing_bounds():
     with pytest.raises(BracketingError):
         calibrate_pulse_width(1.0, 8, (0.8, 1.2))
+    with pytest.raises(BracketingError):
+        calibrate_pulse_width(1.0, 8, (0.6, 0.65))
     with pytest.raises(ValueError):
         calibrate_pulse_width(1.0, 8, (1.2, 0.8))
+
+
+@pytest.mark.parametrize("q", [17, 32, 53])
+def test_calibration_past_the_curve_width_limit(q):
+    assert calibrate_pulse_width(2.5, q, (1.0, 3.0)) == pytest.approx(2.5 * LN2, abs=1e-6)
+
+
+def test_calibration_rejects_q_past_float_exact_code_count():
+    # 2^q - 1 divides the endpoint span; from q = 54 on a float cannot hold it
+    with pytest.raises(ValueError, match="q <= 53"):
+        calibrate_pulse_width(2.5, 54, (1.0, 3.0))
+
+
+def test_calibration_rejects_non_integral_q():
+    with pytest.raises(TypeError):
+        calibrate_pulse_width(1.0, 8.7, (0.3, 1.2))
+
+
+@pytest.mark.parametrize("bounds", [(0.3, math.inf), (-math.inf, 1.2), (math.nan, 1.2)])
+def test_calibration_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="search bounds must be finite"):
+        calibrate_pulse_width(1.0, 8, bounds)
+
+
+@pytest.mark.parametrize("tau2", [math.nan, math.inf, 0.0, -1.0])
+def test_calibration_rejects_bad_tau2_before_searching(tau2):
+    with pytest.raises(ValueError, match=r"tau2 must be finite and positive, got"):
+        calibrate_pulse_width(tau2, 8, (0.3, 1.2))
+
+
+def test_calibration_rejects_overflowing_slot_weights():
+    with pytest.raises(ValueError, match="slot weights overflow"):
+        calibrate_pulse_width(1.0, 8, (0.3, 1.2), v_set=1e300, c_out=1e-10)
+
+
+# Reference for calibration: the search as it was when its objective built the
+# whole 2^q transfer curve and its linearity report at every step, kept
+# verbatim. The O(q) objective must steer the search onto the same width, to
+# the last bit.
+
+def _enumerated_calibrate_pulse_width(
+    tau2: float,
+    q: int,
+    search_bounds: tuple[float, float],
+    v_set: float = 1.0,
+    c_out: float = 1.0,
+) -> float:
+    lo, hi = (float(x) for x in search_bounds)
+    if not (0.0 < lo < hi):
+        raise ValueError("search bounds must satisfy 0 < lo < hi")
+    tau2 = float(tau2)
+    if tau2 <= 0.0:
+        raise ValueError("tau2 must be positive")
+    q = int(q)
+    if q < 2:
+        raise ValueError("calibration needs at least two bits")
+
+    def objective(tw: float) -> float:
+        cfg = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
+        return linearity_report(transfer_curve(cfg)).max_abs_inl
+
+    tol = _CALIBRATION_REL_TOL * tau2
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = objective(d)
+    best = 0.5 * (a + b)
+    if best - lo < 10.0 * tol or hi - best < 10.0 * tol:
+        raise BracketingError(
+            "search converged onto a bound; the bounds do not bracket "
+            "an interior minimum"
+        )
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 10, 12, 14, 16])
+@pytest.mark.parametrize("tau2", [1e-3, 0.37, 1.0, 2.5, 40.0])
+def test_calibration_equals_enumerated_objective(tau2, q):
+    bounds = (0.4 * tau2, 1.1 * tau2)
+    assert calibrate_pulse_width(tau2, q, bounds) == _enumerated_calibrate_pulse_width(
+        tau2, q, bounds
+    )
+
+
+# (q, tau2, lo, hi) of every calibrate command in the benchmark's cli catalogue
+_CLI_CALIBRATIONS = [
+    (6, 3.7658873476652763, 1.2170356313563013, 4.872665790169524),
+    (6, 0.8637564783919713, 0.29168310825903304, 1.0713047225837153),
+    (7, 3.8752668354222646, 1.802839214122518, 4.5815174263937575),
+    (7, 0.572383231310957, 0.196946212340203, 0.7314450368911893),
+    (8, 3.008761255317591, 1.2434496011454519, 3.207335033215689),
+    (8, 0.11784073197289036, 0.036206439553436505, 0.13853632502356972),
+]
+
+
+@pytest.mark.parametrize("q, tau2, lo, hi", _CLI_CALIBRATIONS)
+def test_cli_catalogue_calibrations_equal_enumerated_objective(q, tau2, lo, hi):
+    assert calibrate_pulse_width(tau2, q, (lo, hi)) == _enumerated_calibrate_pulse_width(
+        tau2, q, (lo, hi)
+    )
+
+
+@pytest.mark.parametrize("v_set, c_out, match", [
+    (1e-320, 1e10, "endpoint step is zero"),  # every slot weight underflows to zero
+    (1e-322, 1.0, "too small"),  # a subnormal span whose step rounds to zero
+])
+def test_calibration_step_guards_match_the_report(v_set, c_out, match):
+    for calibrate in (calibrate_pulse_width, _enumerated_calibrate_pulse_width):
+        with pytest.raises(ValueError, match=match):
+            calibrate(1.0, 8, (0.3, 1.2), v_set=v_set, c_out=c_out)
+
+
+def test_calibration_builds_no_curve(calibration_calls, monkeypatch):
+    got = calibrate_pulse_width(1.0, 12, (0.3, 1.2))
+    assert calibration_calls["transfer_curve"] == 0
+    assert calibration_calls["code_sums"] == 0
+    assert calibration_calls["linearity_report"] == 0
+    evaluations = calibration_calls["_max_abs_inl"]
+    # the enumerated search builds one curve per objective evaluation; route
+    # its by-name call through the counted function
+    monkeypatch.setitem(globals(), "transfer_curve", analysis.transfer_curve)
+    assert got == _enumerated_calibrate_pulse_width(1.0, 12, (0.3, 1.2))
+    assert calibration_calls["transfer_curve"] == evaluations > 0

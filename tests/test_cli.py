@@ -296,6 +296,15 @@ def test_calibrate_non_bracketing_exits_1(capsys):
     assert run_cli(["calibrate", "--tau2", 1, "--q", 8, "--lo", 0.8, "--hi", 1.2]) == 1
 
 
+def test_calibrate_keeps_the_curve_width_limit(capsys):
+    # the library calibrates past 16 bits, but the command also prints the
+    # enumerated curve's max |INL|
+    assert run_cli(["calibrate", "--tau2", 1, "--q", 17, "--lo", 0.3, "--hi", 1.2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: full transfer-curve enumeration is limited to q <= 16\n"
+
+
 # --- usage and dispatch ----------------------------------------------------------
 
 def test_no_command_is_usage_error():
