@@ -19,14 +19,10 @@ from .analysis import (
 from .core import (
     LN2,
     DigitalCode,
-    RatioCheck,
-    RatioRegime,
     TdacConfig,
     UnsupportedCharacteristicError,
     convert_closed_form,
     convert_quadrature,
-    drive_voltage,
-    linearity_ratio,
 )
 from .ode import (
     LeakConfig,
@@ -55,8 +51,6 @@ __all__ = [
     "FitResult",
     "LeakConfig",
     "LinearityReport",
-    "RatioCheck",
-    "RatioRegime",
     "SignedTdacConfig",
     "TdacConfig",
     "TransferCurve",
@@ -68,11 +62,9 @@ __all__ = [
     "convert_quadrature",
     "convert_signed",
     "default_t_end",
-    "drive_voltage",
     "dual_exp_waveform",
     "fit_waveform",
     "leaky_voltage",
-    "linearity_ratio",
     "linearity_report",
     "peak_of",
     "signed_transfer_curve",

@@ -44,6 +44,8 @@ class TransferCurve:
             raise ValueError("outputs must be a 1-D array")
         if v.size != (1 << _config_bits(self.config)):
             raise ValueError("curve must cover every code of the configured width")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("transfer curve outputs must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "outputs", v)
 
@@ -79,9 +81,13 @@ def linearity_report(curve) -> LinearityReport:
     through a DNL threshold. Accepts a TransferCurve or a plain 1-D array
     of outputs, so regional curves can be analyzed too.
     """
-    v = curve.outputs if isinstance(curve, TransferCurve) else np.asarray(curve, float)
+    plain = not isinstance(curve, TransferCurve)
+    v = np.asarray(curve, float) if plain else curve.outputs
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need at least two curve entries")
+    # a TransferCurve checked its outputs when it was built
+    if plain and not np.all(np.isfinite(v)):
+        raise ValueError("curve entries must be finite")
     step = (float(v[-1]) - float(v[0])) / (v.size - 1)
     if v[-1] == v[0]:
         raise ValueError("degenerate flat curve: endpoint step is zero")
@@ -132,18 +138,16 @@ class FitResult:
             raise ValueError("sse cannot be negative")
 
 
-_MODEL_KINDS = {"alpha": "alpha", "dual": "dual-exponential"}
-
-
-def _alpha_model(theta, t):
+def _alpha_model(theta, t, jac=True):
     a, tau1 = theta
     e = np.exp(-t / tau1)
     f = a * t * e
-    jac = np.column_stack([t * e, f * t / tau1**2])
-    return f, jac
+    if not jac:
+        return f
+    return f, np.column_stack([t * e, f * t / tau1**2])
 
 
-def _dual_model(theta, t):
+def _dual_model(theta, t, jac=True):
     a, tau1, tau2 = theta
     d = tau1 - tau2
     c = tau1 * tau2 / d
@@ -151,26 +155,27 @@ def _dual_model(theta, t):
     e2 = np.exp(-t / tau2)
     base = e1 - e2
     f = a * c * base
+    if not jac:
+        return f
     j_a = c * base
     j_t1 = a * (-(tau2**2) / d**2 * base + c * e1 * t / tau1**2)
     j_t2 = a * (tau1**2 / d**2 * base - c * e2 * t / tau2**2)
     return f, np.column_stack([j_a, j_t1, j_t2])
 
 
-def _theta_ok(kind: str, theta) -> bool:
+def _theta_ok(theta) -> bool:
     if not np.all(np.isfinite(theta)):
         return False
     taus = theta[1:]
     if np.any(taus <= 0.0):
         return False
-    if kind == "dual-exponential":
-        # keep clear of the degenerate tau1 == tau2 ridge
-        if abs(theta[1] - theta[2]) < 1e-9 * max(theta[1], theta[2]):
-            return False
+    # a two-constant model keeps clear of the degenerate tau1 == tau2 ridge
+    if len(theta) == 3 and abs(theta[1] - theta[2]) < 1e-9 * max(theta[1], theta[2]):
+        return False
     return True
 
 
-def _damped_least_squares(kind, model_fn, theta0, t, v, max_iterations, sse_floor):
+def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
     """Levenberg-style damped Gauss-Newton; returns (theta, sse, iters, conv, stalled)."""
     theta = np.asarray(theta0, dtype=float)
     f, jac = model_fn(theta, t)
@@ -195,7 +200,7 @@ def _damped_least_squares(kind, model_fn, theta0, t, v, max_iterations, sse_floo
                 lam *= 4.0
                 continue
             trial = theta + delta
-            if not _theta_ok(kind, trial):
+            if not _theta_ok(trial):
                 lam *= 4.0
                 continue
             f_t, jac_t = model_fn(trial, t)
@@ -222,50 +227,33 @@ def _damped_least_squares(kind, model_fn, theta0, t, v, max_iterations, sse_floo
     return theta, sse, iterations, converged, consecutive_fails >= 3
 
 
-def _linear_amplitude(shape, v):
-    denom = float(shape @ shape)
-    if denom == 0.0:
-        return 0.0
-    return float(shape @ v) / denom
-
-
-def _grid_seed_alpha(t, v, tau_center):
+def _grid_seed(model_fn, n_taus, points, t, v, tau_center):
+    # two constants try the pairs tau1 >= tau2 off the diagonal; each pass
+    # narrows the grid to two of its steps either side of the best so far
     best = None
     lo, hi = tau_center / 16.0, tau_center * 16.0
     for _ in range(4):
-        taus = np.geomspace(lo, hi, 17)
-        for tau in taus:
-            shape = t * np.exp(-t / tau)
-            a = _linear_amplitude(shape, v)
+        taus = np.geomspace(lo, hi, points)
+        if n_taus == 1:
+            candidates = [(tau,) for tau in taus]
+        else:
+            candidates = [
+                (tau1, tau2)
+                for i, tau1 in enumerate(taus)
+                for tau2 in taus[: i + 1]
+                if not abs(tau1 - tau2) < 1e-6 * tau1
+            ]
+        for cand in candidates:
+            shape = model_fn(np.array([1.0, *cand]), t, jac=False)
+            denom = float(shape @ shape)
+            a = float(shape @ v) / denom if denom != 0.0 else 0.0
             r = v - a * shape
             sse = float(r @ r)
             if best is None or sse < best[0]:
-                best = (sse, a, tau)
-        width = (hi / lo) ** (1.0 / 8.0)
-        lo, hi = best[2] / width, best[2] * width
-    return np.array([best[1], best[2]])
-
-
-def _grid_seed_dual(t, v, tau_center):
-    best = None
-    lo, hi = tau_center / 16.0, tau_center * 16.0
-    for _ in range(4):
-        taus = np.geomspace(lo, hi, 13)
-        for i, tau1 in enumerate(taus):
-            for tau2 in taus[: i + 1]:
-                if abs(tau1 - tau2) < 1e-6 * tau1:
-                    continue
-                c = tau1 * tau2 / (tau1 - tau2)
-                shape = c * (np.exp(-t / tau1) - np.exp(-t / tau2))
-                a = _linear_amplitude(shape, v)
-                r = v - a * shape
-                sse = float(r @ r)
-                if best is None or sse < best[0]:
-                    best = (sse, a, tau1, tau2)
-        width = (hi / lo) ** (1.0 / 6.0)
-        lo = min(best[2], best[3]) / width
-        hi = max(best[2], best[3]) * width
-    return np.array([best[1], best[2], best[3]])
+                best = (sse, a, cand)
+        width = (hi / lo) ** (2.0 / (points - 1))
+        lo, hi = min(best[2]) / width, max(best[2]) * width
+    return np.array([best[1], *best[2]])
 
 
 def _dual_peak_time(tau1, tau2):
@@ -315,6 +303,13 @@ def _initial_dual(waveform):
     return np.array([amp, tau1, tau2])
 
 
+# model name -> (reported name, model function, initial guess, reseed grid points)
+_MODELS = {
+    "alpha": ("alpha", _alpha_model, _initial_alpha, 17),
+    "dual": ("dual-exponential", _dual_model, _initial_dual, 13),
+}
+
+
 def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> FitResult:
     """Least-squares fit of a synaptic-shape model to a sampled waveform.
 
@@ -325,9 +320,9 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     linearly) reseeds a final polish. Non-convergence is reported through
     the result, not raised.
     """
-    kind = _MODEL_KINDS.get(model)
-    if kind is None:
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected alpha or dual")
+    name, model_fn, initial, points = _MODELS[model]
     if len(waveform) < 8:
         raise ValueError("need at least 8 samples spanning the peak")
     t = waveform.times
@@ -337,40 +332,26 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
         raise ValueError("degenerate input: waveform is flat")
     sse_floor = 1e-12 * v_peak**2
 
-    if kind == "alpha":
-        model_fn, theta0 = _alpha_model, _initial_alpha(waveform)
-    else:
-        model_fn, theta0 = _dual_model, _initial_dual(waveform)
-
+    theta0 = initial(waveform)
     theta, sse, iters, converged, stalled = _damped_least_squares(
-        kind, model_fn, theta0, t, v, max_iterations, sse_floor
+        model_fn, theta0, t, v, max_iterations, sse_floor
     )
     if stalled and not converged and iters < max_iterations:
         t_peak, _ = peak_of(waveform)
-        seed = (
-            _grid_seed_alpha(t, v, max(t_peak, 1e-12))
-            if kind == "alpha"
-            else _grid_seed_dual(t, v, max(t_peak, 1e-12))
-        )
+        seed = _grid_seed(model_fn, theta0.size - 1, points, t, v, max(t_peak, 1e-12))
         theta2, sse2, iters2, converged, _ = _damped_least_squares(
-            kind, model_fn, seed, t, v, max_iterations - iters, sse_floor
+            model_fn, seed, t, v, max_iterations - iters, sse_floor
         )
         iters += iters2
         if sse2 < sse:
             theta, sse = theta2, sse2
 
-    if kind == "alpha":
-        amp, tau1 = float(theta[0]), float(theta[1])
-        tau2 = tau1
-    else:
-        amp, tau1, tau2 = (float(x) for x in theta)
-        if tau2 > tau1:
-            tau1, tau2 = tau2, tau1
+    taus = [float(x) for x in theta[1:]]
     return FitResult(
-        model=kind,
-        v_set_fit=amp,
-        tau1_fit=tau1,
-        tau2_fit=tau2,
+        model=name,
+        v_set_fit=float(theta[0]),
+        tau1_fit=max(taus),
+        tau2_fit=min(taus),
         sse=float(sse),
         converged=bool(converged),
         iterations=iters,

@@ -109,8 +109,10 @@ def _run_transfer(params, out_dir: Path) -> int:
         curve = signed_transfer_curve(scfg)
     elif params["engine"] == "quadrature":
         _require_curve_width(config)
-        sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
-        curve = TransferCurve(sums / config.c_out, config)
+        # an output past the float range ends the run as an arithmetic error
+        with np.errstate(over="raise"):
+            sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
+            curve = TransferCurve(sums / config.c_out, config)
     else:
         curve = transfer_curve(config)
     path = out_dir / "transfer.csv"

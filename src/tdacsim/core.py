@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -104,13 +103,6 @@ class TdacConfig:
     @property
     def identity_scc(self) -> bool:
         return self.scc is None
-
-
-def drive_voltage(config: TdacConfig, t: float) -> float:
-    """Drive waveform v_set * exp(-t / tau2), defined for t >= 0."""
-    if t < 0.0:
-        raise ValueError("the drive waveform is defined for t >= 0")
-    return config.v_set * math.exp(-t / config.tau2)
 
 
 def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:
@@ -212,28 +204,3 @@ def convert_quadrature(
     _require_matching_width(config, code)
     return _set_bit_sum(integrals, code) / config.c_out
 
-
-class RatioRegime(Enum):
-    BELOW_LN2 = "below-ln2"
-    AT_LN2 = "at-ln2"
-    ABOVE_LN2 = "above-ln2"
-
-
-class RatioCheck(NamedTuple):
-    ratio: float
-    regime: RatioRegime
-
-
-def linearity_ratio(config: TdacConfig, eps_ratio: float = 1e-9) -> RatioCheck:
-    """Classify t_w / tau2 against ln 2, the exact binary-weighting point.
-
-    ``eps_ratio`` is the relative half-width of the at-ln2 band.
-    """
-    r = config.ratio()
-    if abs(r - LN2) <= eps_ratio * LN2:
-        regime = RatioRegime.AT_LN2
-    elif r < LN2:
-        regime = RatioRegime.BELOW_LN2
-    else:
-        regime = RatioRegime.ABOVE_LN2
-    return RatioCheck(r, regime)

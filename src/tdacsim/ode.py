@@ -83,19 +83,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.times.size
 
-    @property
-    def peak_index(self) -> int:
-        # argmax returns the first maximum, breaking ties to earliest time
-        return int(np.argmax(self.values))
-
-    @property
-    def peak_value(self) -> float:
-        return float(self.values[self.peak_index])
-
-    @property
-    def peak_time(self) -> float:
-        return float(self.times[self.peak_index])
-
 
 def _phi(x: np.ndarray) -> np.ndarray:
     # (exp(x) - 1) / x, continued with 1 through x = 0

@@ -92,9 +92,7 @@ def simulate_signed_leaky(
     """
     positive, magnitude = _split_code(code)
     gain = config.gain_pos if positive else config.gain_neg
+    sign = 1.0 if positive else -1.0
     cfg = _magnitude_config(config, gain)
-    if positive:
-        wf = simulate_leaky(cfg, leak, magnitude, t_end, dt_out)
-        return Waveform(wf.times, config.baseline + wf.values)
-    wf = simulate_leaky(cfg, replace(leak, v0=-leak.v0), magnitude, t_end, dt_out)
-    return Waveform(wf.times, config.baseline - wf.values)
+    wf = simulate_leaky(cfg, replace(leak, v0=sign * leak.v0), magnitude, t_end, dt_out)
+    return Waveform(wf.times, config.baseline + sign * wf.values)

@@ -66,3 +66,11 @@ def calibration_calls(monkeypatch):
         _count_calls(monkeypatch, counts, analysis, name)
     _count_calls(monkeypatch, counts, core, "code_sums")
     return counts
+
+
+@pytest.fixture
+def reseed_calls(monkeypatch):
+    """Count the log-grid reseeds of the fits a test makes."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, analysis, "_grid_seed")
+    return counts

@@ -118,6 +118,18 @@ def test_transfer_width_limit(engine, tmp_path, capsys):
     assert not (tmp_path / "transfer.csv").exists()
 
 
+@pytest.mark.parametrize("engine", [["--engine", "closed-form"], ["--engine", "quadrature"],
+                                    ["--signed"]])
+def test_transfer_non_finite_curve_exits_1(engine, tmp_path, capsys):
+    # v_set / c_out past the float range: every output of the curve is inf
+    argv = ["transfer", "--q", 8, "--ratio", LN2, "--vset", 1e300, "--cout", 1e-10,
+            *engine, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "transfer.csv").exists()
+
+
 @pytest.mark.parametrize("engine", ["closed-form", "quadrature"])
 def test_transfer_makes_no_per_code_calls(engine, per_code_calls, tmp_path):
     argv = ["transfer", "--q", 12, "--ratio", 0.7, "--engine", engine, "--out", tmp_path]

@@ -1,4 +1,5 @@
-"""Codes, converter parameters, and the leak-free conversion paths."""
+"""Package exports, codes, converter parameters, and the leak-free conversion
+paths."""
 
 import math
 
@@ -7,17 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdacsim
 from tdacsim import (
     LN2,
     DigitalCode,
-    RatioRegime,
     TdacConfig,
     UnsupportedCharacteristicError,
     convert_closed_form,
     convert_quadrature,
-    drive_voltage,
-    linearity_ratio,
 )
+
+
+# --- package exports -------------------------------------------------------
+
+def test_public_names_are_pinned():
+    # an export added or left behind shows up here as a diff
+    assert sorted(tdacsim.__all__) == [
+        "BracketingError", "DigitalCode", "FitResult", "LN2", "LeakConfig",
+        "LinearityReport", "SignedTdacConfig", "TdacConfig", "TransferCurve",
+        "UnsupportedCharacteristicError", "Waveform", "alpha_waveform",
+        "calibrate_pulse_width", "convert_closed_form", "convert_quadrature",
+        "convert_signed", "default_t_end", "dual_exp_waveform", "fit_waveform",
+        "leaky_voltage", "linearity_report", "peak_of", "signed_transfer_curve",
+        "simulate_leaky", "simulate_leaky_numeric", "simulate_signed_leaky",
+        "transfer_curve",
+    ]
+    for name in tdacsim.__all__:
+        assert hasattr(tdacsim, name), name
 
 
 # --- DigitalCode -----------------------------------------------------------
@@ -74,22 +91,6 @@ def test_config_validation():
     cfg = TdacConfig(q=4, t_w=0.5, tau2=2.0)
     assert cfg.ratio() == 0.25
     assert cfg.identity_scc
-
-
-# --- drive_voltage ---------------------------------------------------------
-
-def test_drive_voltage_values():
-    assert drive_voltage(TdacConfig(q=1, t_w=1.0, v_set=1.0, tau2=1.0), 0.0) == 1.0
-    assert drive_voltage(TdacConfig(q=1, t_w=1.0), math.log(2)) == pytest.approx(0.5, rel=1e-15)
-    # 0.7 * exp(-1); reference value from 50-digit decimal arithmetic
-    assert drive_voltage(
-        TdacConfig(q=1, t_w=1.0, v_set=0.7, tau2=2.0), 2.0
-    ) == pytest.approx(0.2575156088200096, rel=1e-15)
-
-
-def test_drive_voltage_rejects_negative_time():
-    with pytest.raises(ValueError):
-        drive_voltage(TdacConfig(q=1, t_w=1.0), -0.1)
 
 
 # --- convert_closed_form ---------------------------------------------------
@@ -224,18 +225,3 @@ def test_quadrature_agrees_with_closed_form(q_value, ratio):
     )
     assert delta <= 1e-6 * scale
 
-
-# --- linearity_ratio -------------------------------------------------------
-
-def test_ratio_classification():
-    assert linearity_ratio(TdacConfig(q=4, t_w=0.693147, tau2=1.0), eps_ratio=1e-5).regime is RatioRegime.AT_LN2
-    assert linearity_ratio(TdacConfig(q=4, t_w=0.5, tau2=1.0)).regime is RatioRegime.BELOW_LN2
-    assert linearity_ratio(TdacConfig(q=4, t_w=1.0, tau2=1.0)).regime is RatioRegime.ABOVE_LN2
-    check = linearity_ratio(TdacConfig(q=4, t_w=LN2, tau2=1.0))
-    assert check.regime is RatioRegime.AT_LN2
-    assert check.ratio == pytest.approx(LN2, rel=1e-15)
-
-
-def test_ratio_default_band_is_tight():
-    # 0.693147 is off ln 2 by ~3e-7 relative: outside the default 1e-9 band
-    assert linearity_ratio(TdacConfig(q=4, t_w=0.693147, tau2=1.0)).regime is RatioRegime.BELOW_LN2
