@@ -20,7 +20,6 @@ from .core import (
     LN2,
     DigitalCode,
     TdacConfig,
-    UnsupportedCharacteristicError,
     convert_closed_form,
     convert_quadrature,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "SignedTdacConfig",
     "TdacConfig",
     "TransferCurve",
-    "UnsupportedCharacteristicError",
     "Waveform",
     "alpha_waveform",
     "calibrate_pulse_width",

@@ -339,12 +339,13 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     if stalled and not converged and iters < max_iterations:
         t_peak, _ = peak_of(waveform)
         seed = _grid_seed(model_fn, theta0.size - 1, points, t, v, max(t_peak, 1e-12))
-        theta2, sse2, iters2, converged, _ = _damped_least_squares(
+        theta2, sse2, iters2, converged2, _ = _damped_least_squares(
             model_fn, seed, t, v, max_iterations - iters, sse_floor
         )
         iters += iters2
+        # the polish is kept, with its convergence flag, only if it is better
         if sse2 < sse:
-            theta, sse = theta2, sse2
+            theta, sse, converged = theta2, sse2, converged2
 
     taus = [float(x) for x in theta[1:]]
     return FitResult(

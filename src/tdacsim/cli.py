@@ -96,6 +96,8 @@ def _report_lines(report) -> list[str]:
 
 
 def _run_transfer(params, out_dir: Path) -> int:
+    if params["signed"] and params["engine"] == "quadrature":
+        raise UsageError("the signed model has no quadrature engine")
     tw = _resolve_tw(params, "transfer")
     config = TdacConfig(
         q=params["q"], t_w=tw, tau2=params["tau2"],
@@ -503,46 +505,38 @@ def _params_of(command: str) -> list[Param]:
     return [p for p in _PARAMS if command in p.commands]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A parsed experiment file: kind, output directory, parameter block."""
-
-    kind: str
-    out: str | None
-    params: dict
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {path}: {exc}") from None
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
-        kind = raw.pop("experiment", None)
-        if kind is None:
-            raise ValueError(f"{path}: missing experiment= line")
-        if kind not in _COMMANDS:
-            raise ValueError(f"{path}: unknown experiment kind {kind!r}")
-        out = raw.pop("out", None)
-        allowed = {param.key: param for param in _params_of(kind)}
-        params = {}
-        for key, value in raw.items():
-            if key not in allowed:
-                # unknown keys are hard errors so typos cannot silently vanish
-                raise ValueError(f"{path}: unknown key {key!r} for experiment {kind!r}")
-            params[allowed[key].name] = allowed[key].read(value, f"{path}: key {key!r}")
-        return cls(kind, out, params)
+def _read_experiment(path) -> tuple[str, str | None, dict]:
+    """An experiment file's kind, output directory and parameter block."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
+    kind = raw.pop("experiment", None)
+    if kind is None:
+        raise ValueError(f"{path}: missing experiment= line")
+    if kind not in _COMMANDS:
+        raise ValueError(f"{path}: unknown experiment kind {kind!r}")
+    out = raw.pop("out", None)
+    allowed = {param.key: param for param in _params_of(kind)}
+    params = {}
+    for key, value in raw.items():
+        if key not in allowed:
+            # unknown keys are hard errors so typos cannot silently vanish
+            raise ValueError(f"{path}: unknown key {key!r} for experiment {kind!r}")
+        params[allowed[key].name] = allowed[key].read(value, f"{path}: key {key!r}")
+    return kind, out, params
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +581,26 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    exp = ExperimentConfig.from_file(args.config) if args.config else None
-    command = args.command or (exp.kind if exp else None)
+    kind, file_out, file_params = (
+        _read_experiment(args.config) if args.config else (None, None, {})
+    )
+    command = args.command or kind
     if command is None:
         raise UsageError("give a subcommand or a --config file with an experiment= line")
-    if exp is not None and args.command is not None and exp.kind != args.command:
+    if kind is not None and args.command is not None and kind != args.command:
         raise ValueError(
-            f"config file declares experiment={exp.kind!r} "
+            f"config file declares experiment={kind!r} "
             f"but the {args.command!r} command was given"
         )
     rows = _params_of(command)
     params = {param.name: param.default for param in rows}
-    if exp is not None:
-        params.update(exp.params)
+    params.update(file_params)
     if args.command is not None:
         for param in rows:
             value = getattr(args, param.name, None)
             if value is not None:
                 params[param.name] = value
-    out_dir = Path(args.out or (exp.out if exp else None) or ".")
+    out_dir = Path(args.out or file_out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[command][0](params, out_dir)
 

@@ -12,15 +12,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-
-class UnsupportedCharacteristicError(ValueError):
-    """The requested operation needs the identity drive characteristic."""
 
 
 @dataclass(frozen=True)
@@ -71,20 +66,13 @@ class DigitalCode:
 
 @dataclass(frozen=True)
 class TdacConfig:
-    """Static converter parameters.
-
-    ``scc`` maps the drive voltage to the current-source response. ``None``
-    means the identity characteristic, the only one with a closed-form
-    transfer; any other callable restricts the config to the numerical
-    conversion and simulation paths.
-    """
+    """Static converter parameters."""
 
     q: int
     t_w: float
     v_set: float = 1.0
     tau2: float = 1.0
     c_out: float = 1.0
-    scc: Callable[[float], float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", operator.index(self.q))
@@ -100,10 +88,6 @@ class TdacConfig:
         """Pulse width over drive time constant, t_w / tau2."""
         return self.t_w / self.tau2
 
-    @property
-    def identity_scc(self) -> bool:
-        return self.scc is None
-
 
 def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:
     if code.q != config.q:
@@ -117,15 +101,16 @@ def _require_curve_width(config: TdacConfig) -> None:
         raise ValueError("full transfer-curve enumeration is limited to q <= 16")
 
 
+def _require_finite(v: float) -> float:
+    if not math.isfinite(v):
+        raise ValueError("conversion output overflows a float")
+    return v
+
+
 @lru_cache(maxsize=512)
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
     # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
     # divided by c_out
-    if not config.identity_scc:
-        raise UnsupportedCharacteristicError(
-            "closed-form conversion requires the identity characteristic; "
-            "use convert_quadrature"
-        )
     r = config.ratio()
     scale = config.v_set * config.tau2 / config.c_out
     return tuple(
@@ -161,12 +146,11 @@ def code_sums(slot_values) -> np.ndarray:
 def convert_closed_form(config: TdacConfig, code: DigitalCode) -> float:
     """Leak-free conversion via the per-slot antiderivative of the drive.
 
-    Valid only for the identity characteristic; any other scc must go
-    through :func:`convert_quadrature`.
+    Raises ``ValueError`` when the output is not a finite float.
     """
     weights = _slot_weights(config)
     _require_matching_width(config, code)
-    return _set_bit_sum(weights, code)
+    return _require_finite(_set_bit_sum(weights, code))
 
 
 @lru_cache(maxsize=512)
@@ -185,8 +169,6 @@ def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, .
     for k in range(config.q):
         grid = k * config.t_w + np.linspace(0.0, config.t_w, n_points)
         v = config.v_set * np.exp(-grid / config.tau2)
-        if config.scc is not None:
-            v = np.array([config.scc(x) for x in v], dtype=float)
         out.append(float(h / 3.0 * np.dot(weights, v)))
     return tuple(out)
 
@@ -196,11 +178,11 @@ def convert_quadrature(
 ) -> float:
     """Numerical conversion: per-slot composite Simpson over the gated drive.
 
-    Accepts any scc characteristic and serves as the independent
-    cross-check for :func:`convert_closed_form`. ``steps_per_slot`` counts
-    Simpson panels per slot and must be at least 16.
+    The independent cross-check for :func:`convert_closed_form`.
+    ``steps_per_slot`` counts Simpson panels per slot and must be at least
+    16. Raises ``ValueError`` when the output is not a finite float.
     """
     integrals = _slot_quadratures(config, steps_per_slot)
     _require_matching_width(config, code)
-    return _set_bit_sum(integrals, code) / config.c_out
+    return _require_finite(_set_bit_sum(integrals, code) / config.c_out)
 

@@ -20,12 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import (
-    DigitalCode,
-    TdacConfig,
-    UnsupportedCharacteristicError,
-    _require_matching_width,
-)
+from .core import DigitalCode, TdacConfig, _require_matching_width
 
 # relative |tau1 - tau2| below which the two-constant response is treated
 # as the equal-constant (alpha) case
@@ -149,13 +144,7 @@ def leaky_voltage(
     are evaluated in one array expression. The form still overflows where
     lam (t-a) passes about 709, a leak much faster than the drive: the
     state advance raises ``OverflowError`` and a sample gives inf or NaN.
-    Identity scc only.
     """
-    if not config.identity_scc:
-        raise UnsupportedCharacteristicError(
-            "the analytic propagator requires the identity characteristic; "
-            "use simulate_leaky_numeric"
-        )
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -254,7 +243,7 @@ def simulate_leaky_numeric(
     Steps never straddle a slot boundary: each constant-drive stretch is
     subdivided into ceil(span / dt) equal steps, so the discontinuous gate
     is seen as a sequence of smooth problems. The returned samples are the
-    integration points themselves. Any scc characteristic is accepted.
+    integration points themselves.
     """
     _require_matching_width(config, code)
     t_end = float(t_end)
@@ -272,7 +261,6 @@ def simulate_leaky_numeric(
     # each span takes at most span / dt + 1 steps
     _require_sample_budget(t_end / dt + len(spans) + 1, "dt")
 
-    scc = config.scc
     tau1 = leak.tau1
     tau2 = config.tau2
     v_set = config.v_set
@@ -284,12 +272,7 @@ def simulate_leaky_numeric(
     for a, b, on in spans:
         n = max(1, math.ceil((b - a) / dt))
         h = (b - a) / n
-        if on:
-            f_lo = v_set * exp(-a / tau2)
-            if scc is not None:
-                f_lo = scc(f_lo)
-        else:
-            f_lo = 0.0
+        f_lo = v_set * exp(-a / tau2) if on else 0.0
         for j in range(1, n + 1):
             t0 = a + (j - 1) * h
             t1 = b if j == n else a + j * h
@@ -297,9 +280,6 @@ def simulate_leaky_numeric(
             if on:
                 f_mid = v_set * exp(-(t0 + 0.5 * hj) / tau2)
                 f_hi = v_set * exp(-t1 / tau2)
-                if scc is not None:
-                    f_mid = scc(f_mid)
-                    f_hi = scc(f_hi)
             else:
                 f_mid = 0.0
                 f_hi = 0.0

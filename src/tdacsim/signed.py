@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import TransferCurve
-from .core import DigitalCode, TdacConfig, _slot_weights, code_sums, convert_closed_form
+from .core import (
+    DigitalCode,
+    TdacConfig,
+    _require_finite,
+    _slot_weights,
+    code_sums,
+    convert_closed_form,
+)
 from .ode import LeakConfig, Waveform, simulate_leaky
 
 SIGN_BIT = 8
@@ -64,8 +71,8 @@ def convert_signed(config: SignedTdacConfig, code: DigitalCode) -> float:
     positive, magnitude = _split_code(code)
     v7 = convert_closed_form(_magnitude_config(config), magnitude)
     if positive:
-        return config.baseline + config.gain_pos * v7
-    return config.baseline - config.gain_neg * v7
+        return _require_finite(config.baseline + config.gain_pos * v7)
+    return _require_finite(config.baseline - config.gain_neg * v7)
 
 
 def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:

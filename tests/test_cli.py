@@ -150,6 +150,24 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert run_cli(["transfer", "--q", 8, "--ratio", 0.5, "--frobnicate", 1]) == 2
 
 
+@pytest.mark.parametrize("config", [None, (
+    "experiment=transfer\nbase.ratio=0.6931471805599453\n"
+    "signed.enabled=true\nengine=quadrature\n"
+)], ids=["flags", "config"])
+def test_transfer_signed_quadrature_is_usage_error(config, tmp_path, capsys):
+    # the signed curve has only the closed-form engine
+    if config is None:
+        argv = ["transfer", "--ratio", LN2, "--signed", "--engine", "quadrature"]
+    else:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = ["--config", tmp_path / "exp.cfg"]
+    assert run_cli([*argv, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: the signed model has no quadrature engine\n"
+    )
+    assert not (tmp_path / "transfer.csv").exists()
+
+
 def test_transfer_signed_curve(tmp_path, capsys):
     code = run_cli(["transfer", "--q", 8, "--ratio", LN2, "--signed",
                     "--gain-pos", 2.0, "--out", tmp_path])
@@ -288,6 +306,19 @@ def test_fit_non_converged_exits_3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "converged=false" in out  # data still printed
+
+
+def test_fit_reports_convergence_of_the_kept_run(tmp_path, capsys):
+    # the first dual run stalls; the reseeded polish converges to a slightly
+    # larger sse and is discarded, so its convergence flag must go with it
+    argv = ["waveform", "--code", "00000001", "--tw", LN2, "--tau2", 1, "--tau1", 0.05,
+            "--out", tmp_path]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert run_cli(["fit", "--input", tmp_path / "waveform.csv", "--model", "dual"]) == 3
+    out = capsys.readouterr().out
+    assert "sse=6.3118572340306026e-06\n" in out
+    assert "converged=false\n" in out
 
 
 # --- calibrate -----------------------------------------------------------------
@@ -492,6 +523,24 @@ def test_sweep_code_rejects_engine_and_step_keys(line, tmp_path, capsys):
     cfg.write_text(SWEEP_CONFIGS["sweep-code"] + line + "\n")
     assert run_cli(["--config", cfg, "--out", tmp_path]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment=transfer\nbase.q=4\nbase.q=5\n", "exp.cfg:3: duplicate key 'base.q'"),
+    ("base.q=4\n", "exp.cfg: missing experiment= line"),
+    ("experiment=plot\n", "exp.cfg: unknown experiment kind 'plot'"),
+    ("experiment=transfer\nbase.q\n", "exp.cfg:2: expected key=value"),
+    ("experiment=transfer\nbase.q=four\n",
+     "exp.cfg: key 'base.q': invalid literal for int() with base 10: 'four'"),
+], ids=["duplicate", "no-experiment", "unknown-kind", "no-equals", "bad-value"])
+def test_config_file_errors_exit_1(text, message, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert run_cli(["--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_command_mismatch_rejected(tmp_path):

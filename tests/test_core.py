@@ -1,6 +1,7 @@
 """Package exports, codes, converter parameters, and the leak-free conversion
 paths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from tdacsim import (
     LN2,
     DigitalCode,
     TdacConfig,
-    UnsupportedCharacteristicError,
     convert_closed_form,
     convert_quadrature,
 )
@@ -26,7 +26,7 @@ def test_public_names_are_pinned():
     assert sorted(tdacsim.__all__) == [
         "BracketingError", "DigitalCode", "FitResult", "LN2", "LeakConfig",
         "LinearityReport", "SignedTdacConfig", "TdacConfig", "TransferCurve",
-        "UnsupportedCharacteristicError", "Waveform", "alpha_waveform",
+        "Waveform", "alpha_waveform",
         "calibrate_pulse_width", "convert_closed_form", "convert_quadrature",
         "convert_signed", "default_t_end", "dual_exp_waveform", "fit_waveform",
         "leaky_voltage", "linearity_report", "peak_of", "signed_transfer_curve",
@@ -35,6 +35,19 @@ def test_public_names_are_pinned():
     ]
     for name in tdacsim.__all__:
         assert hasattr(tdacsim, name), name
+
+
+def test_settable_config_fields_are_pinned():
+    # a knob added to or left on a config class shows up here as a diff
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (TdacConfig, tdacsim.LeakConfig, tdacsim.SignedTdacConfig)
+    }
+    assert fields == {
+        "TdacConfig": ["q", "t_w", "v_set", "tau2", "c_out"],
+        "LeakConfig": ["tau1", "v0"],
+        "SignedTdacConfig": ["base", "gain_pos", "gain_neg", "baseline"],
+    }
 
 
 # --- DigitalCode -----------------------------------------------------------
@@ -90,7 +103,6 @@ def test_config_validation():
         TdacConfig(q=4, t_w=1.0, tau2=0.0)
     cfg = TdacConfig(q=4, t_w=0.5, tau2=2.0)
     assert cfg.ratio() == 0.25
-    assert cfg.identity_scc
 
 
 # --- convert_closed_form ---------------------------------------------------
@@ -105,10 +117,12 @@ def test_closed_form_examples():
     assert convert_closed_form(_cfg_ln2(), DigitalCode.from_int(0b1111, 4)) == pytest.approx(0.9375, rel=1e-14)
 
 
-def test_closed_form_rejects_non_identity_scc():
-    cfg = TdacConfig(q=4, t_w=LN2, scc=lambda v: v * v)
-    with pytest.raises(UnsupportedCharacteristicError):
-        convert_closed_form(cfg, DigitalCode.from_int(3, 4))
+@pytest.mark.parametrize("convert", [convert_closed_form, convert_quadrature])
+def test_conversion_rejects_non_finite_output(convert):
+    # v_set * tau2 / c_out = 1e310 is past the float range
+    cfg = TdacConfig(q=8, t_w=LN2, v_set=1e300, c_out=1e-10)
+    with pytest.raises(ValueError, match="overflows a float"):
+        convert(cfg, DigitalCode.from_string("10000000"))
 
 
 def test_closed_form_rejects_width_mismatch():
@@ -198,14 +212,6 @@ def test_quadrature_alternating_code():
 def test_quadrature_rejects_coarse_rule():
     with pytest.raises(ValueError):
         convert_quadrature(_cfg_ln2(), DigitalCode.from_int(1, 4), 8)
-
-
-def test_quadrature_supports_non_identity_scc():
-    # square-law characteristic: integral of v_set^2 exp(-2t/tau2) per slot
-    cfg = TdacConfig(q=1, t_w=1.0, v_set=2.0, tau2=1.0, scc=lambda v: v * v)
-    got = convert_quadrature(cfg, DigitalCode.from_int(1, 1), 512)
-    expected = 4.0 * 0.5 * (1.0 - math.exp(-2.0))
-    assert got == pytest.approx(expected, rel=1e-10)
 
 
 @settings(max_examples=40)

@@ -12,7 +12,6 @@ from tdacsim import (
     DigitalCode,
     LeakConfig,
     TdacConfig,
-    UnsupportedCharacteristicError,
     Waveform,
     alpha_waveform,
     dual_exp_waveform,
@@ -72,12 +71,6 @@ def test_samples_include_slot_boundaries_and_dt_out_grid():
     for k in range(6):
         assert k * 0.4 in wf.times
     assert wf.times[-1] == 2.0
-
-
-def test_simulate_rejects_non_identity_scc():
-    cfg = TdacConfig(q=2, t_w=0.5, scc=lambda v: v)
-    with pytest.raises(UnsupportedCharacteristicError):
-        simulate_leaky(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(1, 2), 1.0, 0.1)
 
 
 def test_all_ones_matches_alpha_function():
@@ -390,20 +383,6 @@ def test_numeric_fourth_order_convergence():
         ana = leaky_voltage(cfg, leak, code, num.times)
         errs.append(np.max(np.abs(num.values - ana)))
     assert 12.0 < errs[0] / errs[1] < 20.0
-
-
-def test_numeric_supports_non_identity_scc():
-    # square-law drive: compare against a brute-force reference on a fine grid
-    cfg = TdacConfig(q=2, t_w=0.5, tau2=1.0, scc=lambda v: v * v)
-    leak = LeakConfig(tau1=0.8)
-    code = DigitalCode.from_int(0b11, 2)
-    wf = simulate_leaky_numeric(cfg, leak, code, 2.0, 1e-3)
-    fine = simulate_leaky_numeric(cfg, leak, code, 2.0, 1e-4)
-    at = {t: v for t, v in zip(fine.times, fine.values)}
-    common = [t for t in wf.times if t in at]
-    assert len(common) > 10
-    diff = max(abs(v - at[t]) for t, v in zip(wf.times, wf.values) if t in at)
-    assert diff < 1e-10
 
 
 # --- alpha / dual shapes ---------------------------------------------------

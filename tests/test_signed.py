@@ -1,6 +1,5 @@
 """Sign-magnitude eight-bit converter behavior."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,6 @@ from tdacsim import (
     LeakConfig,
     SignedTdacConfig,
     TdacConfig,
-    UnsupportedCharacteristicError,
     convert_signed,
     linearity_report,
     signed_transfer_curve,
@@ -71,10 +69,14 @@ def test_transfer_curve_equals_per_code_conversion(per_code_calls):
     assert np.array_equal(curve.outputs, expected)
 
 
-def test_transfer_curve_rejects_non_identity_scc():
-    base = TdacConfig(q=8, t_w=LN2, scc=lambda v: v * v)
-    with pytest.raises(UnsupportedCharacteristicError):
-        signed_transfer_curve(_scfg(base=base))
+@pytest.mark.parametrize("base, gain_pos", [
+    (TdacConfig(q=8, t_w=LN2, v_set=1e300, c_out=1e-10), 1.0),
+    (TdacConfig(q=8, t_w=LN2, v_set=4.0), 1e308),
+], ids=["magnitude", "gain"])
+def test_convert_signed_rejects_non_finite_output(base, gain_pos):
+    cfg = _scfg(base=base, gain_pos=gain_pos)
+    with pytest.raises(ValueError, match="overflows a float"):
+        convert_signed(cfg, DigitalCode.from_string("11000000"))
 
 
 def test_gain_pos_scales_only_positive_region():
