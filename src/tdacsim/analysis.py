@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TdacConfig, _require_curve_width, _slot_weights, code_sums
-from .ode import Waveform, peak_of
+from .ode import Waveform, _alpha_model, _dual_model, peak_of
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section search stops once its bracket is this fraction of tau2
@@ -24,26 +24,19 @@ class BracketingError(ValueError):
     """The search bounds do not bracket an interior minimum."""
 
 
-def _config_bits(config) -> int:
-    q = getattr(config, "q", None)
-    if q is None:
-        q = config.base.q
-    return int(q)
-
-
 @dataclass(frozen=True, eq=False)
 class TransferCurve:
     """Output for every code 0 .. 2^q - 1, in code order: entry c is code c."""
 
     outputs: np.ndarray
-    config: object
 
     def __post_init__(self):
         v = np.array(self.outputs, dtype=float)
         if v.ndim != 1:
             raise ValueError("outputs must be a 1-D array")
-        if v.size != (1 << _config_bits(self.config)):
-            raise ValueError("curve must cover every code of the configured width")
+        # 2^q entries with q >= 1: a power of two and at least 2
+        if v.size < 2 or v.size & (v.size - 1):
+            raise ValueError("curve must cover every code of a width q >= 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("transfer curve outputs must be finite")
         v.flags.writeable = False
@@ -57,7 +50,7 @@ def transfer_curve(config: TdacConfig) -> TransferCurve:
     """The full leak-free transfer characteristic, built from the q slot weights."""
     _require_curve_width(config)
     outputs = code_sums(_slot_weights(config))
-    return TransferCurve(outputs, config)
+    return TransferCurve(outputs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,31 +129,6 @@ class FitResult:
             raise ValueError("fitted time constants must be positive")
         if self.sse < 0.0:
             raise ValueError("sse cannot be negative")
-
-
-def _alpha_model(theta, t, jac=True):
-    a, tau1 = theta
-    e = np.exp(-t / tau1)
-    f = a * t * e
-    if not jac:
-        return f
-    return f, np.column_stack([t * e, f * t / tau1**2])
-
-
-def _dual_model(theta, t, jac=True):
-    a, tau1, tau2 = theta
-    d = tau1 - tau2
-    c = tau1 * tau2 / d
-    e1 = np.exp(-t / tau1)
-    e2 = np.exp(-t / tau2)
-    base = e1 - e2
-    f = a * c * base
-    if not jac:
-        return f
-    j_a = c * base
-    j_t1 = a * (-(tau2**2) / d**2 * base + c * e1 * t / tau1**2)
-    j_t2 = a * (tau1**2 / d**2 * base - c * e2 * t / tau2**2)
-    return f, np.column_stack([j_a, j_t1, j_t2])
 
 
 def _theta_ok(theta) -> bool:

@@ -114,13 +114,14 @@ def _run_transfer(params, out_dir: Path) -> int:
         # an output past the float range ends the run as an arithmetic error
         with np.errstate(over="raise"):
             sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
-            curve = TransferCurve(sums / config.c_out, config)
+            curve = TransferCurve(sums / config.c_out)
     else:
         curve = transfer_curve(config)
+    report = linearity_report(curve)
     path = out_dir / "transfer.csv"
     _write_text_atomic(path, _csv_text("code,v_out", _transfer_rows(curve)))
     print(f"csv={path}")
-    for line in _report_lines(linearity_report(curve)):
+    for line in _report_lines(report):
         print(line)
     return 0
 
@@ -319,7 +320,7 @@ def _fig3_code_sweep(figure: str, tau1: float, tau2: float):
     tw = LN2 * tau2
     params = dict(
         codes=["11111111", "10101010", "01010101"], q=8, tw=tw, tau1=tau1, tau2=tau2,
-        vset=1.0, cout=1.0, v0=0.0, t_end=10.0 * max(tau1, tau2) + 8.0 * tw,
+        vset=1.0, cout=1.0, v0=0.0, t_end=None,
         dt_out=0.02 * max(tau1, tau2),
     )
     fields = ("q", "tw", "tau1", "tau2", "vset", "v0", "t_end")
@@ -471,7 +472,7 @@ _PARAMS = (
     Param("q", int, 8, "base.q", ("transfer", "sweep-ratio", "calibrate")),
     Param("q", int, None, "base.q", ("waveform",),
           help="expected code width (checked against --code)"),
-    Param("ratio", float, None, "base.ratio", _WIDTH, help="t_w / tau2, alternative to --tw"),
+    Param("ratio", float, None, "base.ratio", _WIDTH, help="t_w / tau2; --tw wins when both are given"),
     Param("tw", float, None, "base.tw", _WIDTH),
     Param("tau2", float, 1.0, "base.tau2", _CONVERTER + ("calibrate",)),
     Param("vset", float, 1.0, "base.vset", _CONVERTER),

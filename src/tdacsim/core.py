@@ -50,16 +50,6 @@ class DigitalCode:
     def q(self) -> int:
         return len(self.bits)
 
-    @property
-    def value(self) -> int:
-        return sum(1 << k for k, b in enumerate(self.bits) if b)
-
-    def bit(self, k: int) -> bool:
-        """B_k with 1-based index k; B_1 is the LSB, B_q the MSB."""
-        if not 1 <= k <= self.q:
-            raise ValueError(f"bit index {k} outside 1..{self.q}")
-        return self.bits[k - 1]
-
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in reversed(self.bits))
 
@@ -84,10 +74,6 @@ class TdacConfig:
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, x)
 
-    def ratio(self) -> float:
-        """Pulse width over drive time constant, t_w / tau2."""
-        return self.t_w / self.tau2
-
 
 def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:
     if code.q != config.q:
@@ -111,7 +97,7 @@ def _require_finite(v: float) -> float:
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
     # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
     # divided by c_out
-    r = config.ratio()
+    r = config.t_w / config.tau2
     scale = config.v_set * config.tau2 / config.c_out
     return tuple(
         scale * (math.exp(-k * r) - math.exp(-(k + 1) * r))

@@ -58,7 +58,7 @@ class LeakConfig:
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
-    """Sampled output-voltage trace with strictly increasing times."""
+    """Sampled output-voltage trace: finite values at strictly increasing times."""
 
     times: np.ndarray
     values: np.ndarray
@@ -68,6 +68,8 @@ class Waveform:
         v = np.array(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size == 0:
             raise ValueError("times and values must be matching non-empty 1-D arrays")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("waveform times and values must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("sample times must be strictly increasing")
         t.flags.writeable = False
@@ -256,6 +258,8 @@ def simulate_leaky_numeric(
         raise ValueError(
             "dt must be at most t_w / 16 so slot boundaries are resolved"
         )
+    if dt > 2.785 * leak.tau1:
+        raise ValueError("dt must be at most 2.785 * tau1, the stability limit of RK4")
 
     spans = _drive_intervals(config, code, t_end)
     # each span takes at most span / dt + 1 steps
@@ -294,12 +298,36 @@ def simulate_leaky_numeric(
     return Waveform(np.array(times), np.array(values))
 
 
+def _alpha_model(theta, t, jac=True):
+    a, tau1 = theta
+    e = np.exp(-t / tau1)
+    f = a * t * e
+    if not jac:
+        return f
+    return f, np.column_stack([t * e, f * t / tau1**2])
+
+
+def _dual_model(theta, t, jac=True):
+    a, tau1, tau2 = theta
+    d = tau1 - tau2
+    c = tau1 * tau2 / d
+    e1 = np.exp(-t / tau1)
+    e2 = np.exp(-t / tau2)
+    base = e1 - e2
+    f = a * c * base
+    if not jac:
+        return f
+    j_a = c * base
+    j_t1 = a * (-(tau2**2) / d**2 * base + c * e1 * t / tau1**2)
+    j_t2 = a * (tau1**2 / d**2 * base - c * e2 * t / tau2**2)
+    return f, np.column_stack([j_a, j_t1, j_t2])
+
+
 def alpha_waveform(v_set: float, tau1: float, t):
     """Equal-time-constant synaptic shape t * v_set * exp(-t / tau1)."""
     if not (math.isfinite(tau1) and tau1 > 0.0):
         raise ValueError("tau1 must be finite and positive")
-    t = np.asarray(t, dtype=float)
-    out = t * v_set * np.exp(-t / tau1)
+    out = _alpha_model((v_set, tau1), np.asarray(t, dtype=float), jac=False)
     return float(out) if out.ndim == 0 else out
 
 
@@ -314,9 +342,7 @@ def dual_exp_waveform(v_set: float, tau1: float, tau2: float, t):
         raise ValueError("time constants must be finite and positive")
     if abs(tau1 - tau2) < TAU_DEGENERACY_BAND * tau1:
         return alpha_waveform(v_set, tau1, t)
-    t = np.asarray(t, dtype=float)
-    c = tau1 * tau2 / (tau1 - tau2)
-    out = c * v_set * (np.exp(-t / tau1) - np.exp(-t / tau2))
+    out = _dual_model((v_set, tau1, tau2), np.asarray(t, dtype=float), jac=False)
     return float(out) if out.ndim == 0 else out
 
 
@@ -325,11 +351,9 @@ def peak_of(waveform: Waveform) -> tuple[float, float]:
 
     Ties break toward the earliest sample. Refinement is skipped at the
     trace edges and whenever the bracketing parabola is not concave; the
-    refined value is clamped to the bracketing interval and never reported
-    below the sample maximum.
+    refined value is clamped to the bracketing interval, and the sample
+    maximum is kept when the refinement is below it or not finite.
     """
-    if len(waveform) == 0:
-        raise ValueError("waveform is empty")
     t = waveform.times
     v = waveform.values
     i = int(np.argmax(v))
@@ -350,6 +374,6 @@ def peak_of(waveform: Waveform) -> tuple[float, float]:
     a0 = v0 * t1 * t2 / d0 + v1 * t0 * t2 / d1 + v2 * t0 * t1 / d2
     ts = min(max(-a1 / (2.0 * a2), t0), t2)
     vs = a0 + a1 * ts + a2 * ts * ts
-    if vs < v1:
+    if not (math.isfinite(vs) and vs >= v1):
         return t1, v1
     return float(ts), float(vs)

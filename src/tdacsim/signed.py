@@ -58,7 +58,7 @@ class SignedTdacConfig:
 def _split_code(code: DigitalCode) -> tuple[bool, DigitalCode]:
     if code.q != 8:
         raise ValueError("the signed converter expects an 8-bit code")
-    return code.bit(SIGN_BIT), DigitalCode(code.bits[:MAGNITUDE_BITS])
+    return code.bits[SIGN_BIT - 1], DigitalCode(code.bits[:MAGNITUDE_BITS])
 
 
 def _magnitude_config(config: SignedTdacConfig, gain: float = 1.0) -> TdacConfig:
@@ -81,7 +81,7 @@ def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
     outputs = np.concatenate(
         [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
     )
-    return TransferCurve(outputs, config)
+    return TransferCurve(outputs)
 
 
 def simulate_signed_leaky(

@@ -73,12 +73,14 @@ def test_transfer_curve_equals_per_code_conversion(q, ratio):
     assert np.array_equal(transfer_curve(cfg).outputs, expected)
 
 
-@pytest.mark.parametrize("size", [2, 15, 17, 32])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 15, 16, 17, 24, 32])
 def test_transfer_curve_rejects_wrong_output_count(size):
-    cfg = TdacConfig(q=4, t_w=LN2)
-    assert len(TransferCurve(np.zeros(16), cfg)) == 16
-    with pytest.raises(ValueError, match="every code"):
-        TransferCurve(np.zeros(size), cfg)
+    # a curve covers 2^q codes for some q >= 1
+    if size in (2, 16, 32):
+        assert len(TransferCurve(np.zeros(size))) == size
+    else:
+        with pytest.raises(ValueError, match="every code"):
+            TransferCurve(np.zeros(size))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -86,7 +88,7 @@ def test_transfer_curve_rejects_non_finite_outputs(bad):
     outputs = np.zeros(16)
     outputs[5] = bad
     with pytest.raises(ValueError, match="finite"):
-        TransferCurve(outputs, TdacConfig(q=4, t_w=LN2))
+        TransferCurve(outputs)
 
 
 def test_transfer_curve_rejects_overflowing_outputs():

@@ -131,6 +131,18 @@ def test_transfer_non_finite_curve_exits_1(engine, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("engine", ["closed-form", "quadrature"])
+def test_transfer_report_error_leaves_no_file(engine, tmp_path, capsys):
+    # every output underflows to 0.0: the curve is valid, its linearity report is not
+    argv = ["transfer", "--q", 8, "--ratio", 0.69, "--vset", 1e-300, "--cout", 1e300,
+            "--engine", engine, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degenerate flat curve: endpoint step is zero\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("engine", ["closed-form", "quadrature"])
 def test_transfer_makes_no_per_code_calls(engine, per_code_calls, tmp_path):
     argv = ["transfer", "--q", 12, "--ratio", 0.7, "--engine", engine, "--out", tmp_path]
     assert run_cli(argv) == 0
@@ -223,6 +235,30 @@ def test_waveform_sample_budget_exits_1(engine, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "samples" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tau1", 0.01, "--dt", 0.0625],
+     "dt must be at most 2.785 * tau1, the stability limit of RK4"),
+    # the RK4 state passes the float range in plain float arithmetic
+    (["--tau1", 1000, "--vset", 1.7e308, "--v0", 1.7e308, "--t-end", 2],
+     "waveform times and values must be finite"),
+], ids=["rk4-stability", "overflow"])
+def test_waveform_numeric_errors_exit_1(argv, message, tmp_path, capsys):
+    argv = ["waveform", "--code", "11", "--tw", 1, "--tau2", 1, "--engine", "numeric",
+            *argv, "--out", tmp_path]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_waveform_peak_falls_back_to_sample_maximum(tmp_path, capsys):
+    # every row is finite, but the quadratic peak refinement overflows
+    argv = ["waveform", "--code", 1, "--tw", 1, "--tau2", 1, "--tau1", 1,
+            "--vset", 1e308, "--out", tmp_path]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "peak_time=1\npeak_value=3.6787944117144235e+307\n" in out
 
 
 def test_waveform_numeric_engine_agrees(tmp_path):

@@ -41,13 +41,24 @@ def test_settable_config_fields_are_pinned():
     # a knob added to or left on a config class shows up here as a diff
     fields = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (TdacConfig, tdacsim.LeakConfig, tdacsim.SignedTdacConfig)
+        for cls in (TdacConfig, tdacsim.LeakConfig, tdacsim.SignedTdacConfig,
+                    tdacsim.TransferCurve)
     }
     assert fields == {
         "TdacConfig": ["q", "t_w", "v_set", "tau2", "c_out"],
         "LeakConfig": ["tau1", "v0"],
         "SignedTdacConfig": ["base", "gain_pos", "gain_neg", "baseline"],
+        "TransferCurve": ["outputs"],
     }
+
+
+def test_code_and_config_attributes_are_pinned():
+    # a method or property added to or left on these classes shows up here
+    def public(obj):
+        return sorted(name for name in dir(obj) if not name.startswith("_"))
+
+    assert public(DigitalCode.from_int(5, 4)) == ["bits", "from_int", "from_string", "q"]
+    assert public(TdacConfig(q=4, t_w=LN2)) == ["c_out", "q", "t_w", "tau2", "v_set"]
 
 
 # --- DigitalCode -----------------------------------------------------------
@@ -56,16 +67,13 @@ def test_code_from_int_bit_layout():
     code = DigitalCode.from_int(0b1010, 4)
     # bits[0] is B_1 (LSB)
     assert code.bits == (False, True, False, True)
-    assert code.value == 10
-    assert code.bit(1) is False
-    assert code.bit(4) is True
     assert str(code) == "1010"
 
 
 def test_code_from_string_msb_first():
     code = DigitalCode.from_string("1000")
-    assert code.value == 8
-    assert code.bit(4) is True
+    assert code.bits == (False, False, False, True)
+    assert str(code) == "1000"
 
 
 @pytest.mark.parametrize("value,q", [(-1, 4), (16, 4), (0, 0)])
@@ -87,9 +95,9 @@ def test_code_rejects_bad_string():
 def test_code_int_round_trip(q_value):
     q, value = q_value
     code = DigitalCode.from_int(value, q)
-    assert code.value == value
+    assert int(str(code), 2) == value
     assert code.q == q
-    assert DigitalCode.from_string(str(code)).value == value
+    assert DigitalCode.from_string(str(code)) == code
 
 
 # --- TdacConfig ------------------------------------------------------------
@@ -102,7 +110,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TdacConfig(q=4, t_w=1.0, tau2=0.0)
     cfg = TdacConfig(q=4, t_w=0.5, tau2=2.0)
-    assert cfg.ratio() == 0.25
+    assert (cfg.q, cfg.t_w, cfg.tau2, cfg.v_set, cfg.c_out) == (4, 0.5, 2.0, 1.0, 1.0)
 
 
 # --- convert_closed_form ---------------------------------------------------

@@ -34,6 +34,11 @@ def test_waveform_validation():
         Waveform(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         Waveform(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Waveform([0.0, 1.0, bad], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            Waveform([0.0, 1.0, 2.0], [0.0, bad, 2.0])
     wf = Waveform([0.0, 1.0, 2.0], [0.0, 3.0, 1.0])
     assert len(wf) == 3
 
@@ -180,7 +185,7 @@ def _enumerated_intervals(config, code, t_end):
         start = k * config.t_w
         if start >= t_end:
             break
-        on = code.bit(config.q - k)
+        on = str(code)[k] == "1"
         end = min((k + 1) * config.t_w, t_end)
         if spans and spans[-1][2] == on:
             spans[-1][1] = end
@@ -343,6 +348,25 @@ def test_numeric_rejects_coarse_step():
         simulate_leaky_numeric(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4), 1.0, 0.05)
 
 
+def test_numeric_refuses_steps_past_rk4_stability():
+    # past dt = 2.785 tau1 each step amplifies the state instead of damping it
+    cfg = TdacConfig(q=2, t_w=1.0, tau2=1.0)
+    leak = LeakConfig(tau1=0.01)
+    code = DigitalCode.from_string("11")
+    with pytest.raises(ValueError, match="stability limit"):
+        simulate_leaky_numeric(cfg, leak, code, 3.0, 0.0625)
+    wf = simulate_leaky_numeric(cfg, leak, code, 3.0, 2.785 * leak.tau1)
+    assert np.max(np.abs(wf.values)) < 0.01
+
+
+def test_non_finite_samples_are_an_error():
+    # initial state plus drive pass the float range
+    cfg = TdacConfig(q=1, t_w=1.0, tau2=1.0, v_set=1.7e308)
+    leak = LeakConfig(tau1=1000.0, v0=1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        simulate_leaky(cfg, leak, _all_ones(1), 2.0)
+
+
 def test_sample_budget_checked_before_allocation():
     cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
     leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
@@ -452,3 +476,9 @@ def test_peak_of_refines_dual_extremum():
     t_peak, v_peak = peak_of(wf)
     assert t_peak == pytest.approx(LN2, abs=1e-4)
     assert v_peak == pytest.approx(0.25, abs=1e-4)
+
+
+def test_peak_of_keeps_sample_maximum_when_refinement_overflows():
+    # the parabola's coefficients pass the float range though every sample is finite
+    wf = Waveform([0.0, 1.0, 2.0], [1e308, 1.7e308, 1e308])
+    assert peak_of(wf) == (1.0, 1.7e308)
