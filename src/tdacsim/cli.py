@@ -95,7 +95,7 @@ def _report_lines(report) -> list[str]:
     ]
 
 
-def _run_transfer(params, out_dir: Path) -> int:
+def _run_transfer(params):
     if params["signed"] and params["engine"] == "quadrature":
         raise UsageError("the signed model has no quadrature engine")
     tw = _resolve_tw(params, "transfer")
@@ -118,17 +118,11 @@ def _run_transfer(params, out_dir: Path) -> int:
     else:
         curve = transfer_curve(config)
     report = linearity_report(curve)
-    path = out_dir / "transfer.csv"
-    _write_text_atomic(path, _csv_text("code,v_out", _transfer_rows(curve)))
-    print(f"csv={path}")
-    for line in _report_lines(report):
-        print(line)
-    return 0
+    files = [("csv", "transfer.csv", _csv_text("code,v_out", _transfer_rows(curve)))]
+    return files, _report_lines(report), 0
 
 
-def _run_waveform(params, out_dir: Path) -> int:
-    if params["code"] is None:
-        raise UsageError("waveform needs --code")
+def _run_waveform(params):
     code = DigitalCode.from_string(params["code"])
     if params["q"] is not None and params["q"] != code.q:
         raise ValueError(f"code has {code.q} bits but --q {params['q']} was given")
@@ -146,13 +140,9 @@ def _run_waveform(params, out_dir: Path) -> int:
         wf = simulate_leaky_numeric(config, leak, code, t_end, dt)
     else:
         wf = simulate_leaky(config, leak, code, t_end, params["dt_out"])
-    path = out_dir / "waveform.csv"
-    _write_text_atomic(path, _csv_text("t,v", _waveform_rows(wf)))
     t_peak, v_peak = peak_of(wf)
-    print(f"csv={path}")
-    print(f"peak_time={_fmt(t_peak)}")
-    print(f"peak_value={_fmt(v_peak)}")
-    return 0
+    files = [("csv", "waveform.csv", _csv_text("t,v", _waveform_rows(wf)))]
+    return files, [f"peak_time={_fmt(t_peak)}", f"peak_value={_fmt(v_peak)}"], 0
 
 
 def _read_waveform_csv(path) -> Waveform:
@@ -189,33 +179,26 @@ def _read_waveform_csv(path) -> Waveform:
     return Waveform(np.array(times), np.array(values))
 
 
-def _run_fit(params, out_dir: Path) -> int:
-    if params["input"] is None:
-        raise UsageError("fit needs --input")
-    if params["model"] is None:
-        raise UsageError("fit needs --model alpha|dual")
+def _run_fit(params):
     wf = _read_waveform_csv(params["input"])
     result = fit_waveform(wf, params["model"], params["max_iterations"])
-    print(f"model={result.model}")
-    print(f"v_set_fit={_fmt(result.v_set_fit)}")
-    print(f"tau1_fit={_fmt(result.tau1_fit)}")
-    print(f"tau2_fit={_fmt(result.tau2_fit)}")
-    print(f"sse={_fmt(result.sse)}")
-    print(f"converged={_bool_str(result.converged)}")
-    print(f"iterations={result.iterations}")
-    return 0 if result.converged else 3
+    return [], [
+        f"model={result.model}",
+        f"v_set_fit={_fmt(result.v_set_fit)}",
+        f"tau1_fit={_fmt(result.tau1_fit)}",
+        f"tau2_fit={_fmt(result.tau2_fit)}",
+        f"sse={_fmt(result.sse)}",
+        f"converged={_bool_str(result.converged)}",
+        f"iterations={result.iterations}",
+    ], 0 if result.converged else 3
 
 
-def _run_calibrate(params, out_dir: Path) -> int:
-    if params["lo"] is None or params["hi"] is None:
-        raise UsageError("calibrate needs --lo and --hi")
+def _run_calibrate(params):
     tw = calibrate_pulse_width(params["tau2"], params["q"], (params["lo"], params["hi"]))
     achieved = linearity_report(
         transfer_curve(TdacConfig(q=params["q"], t_w=tw, tau2=params["tau2"]))
     ).max_abs_inl
-    print(f"t_w={_fmt(tw)}")
-    print(f"max_abs_inl={_fmt(achieved)}")
-    return 0
+    return [], [f"t_w={_fmt(tw)}", f"max_abs_inl={_fmt(achieved)}"], 0
 
 
 def _ratio_sweep(params, head, prefix: str, labels):
@@ -261,21 +244,17 @@ def _code_sweep(params, head, prefix: str, fields):
     return files, manifest
 
 
-def _run_sweep_ratio(params, out_dir: Path) -> int:
-    if not params["ratios"]:
-        raise UsageError("sweep-ratio needs sweep.ratios=<r1,r2,...>")
+def _run_sweep_ratio(params):
     labels = [_fmt(r) for r in params["ratios"]]
     files, manifest = _ratio_sweep(params, ("experiment", "sweep-ratio"), "sweep_ratio_", labels)
-    return _emit_members(files, manifest, "sweep_ratio_manifest.txt", out_dir)
+    return _members(files, manifest, "sweep_ratio_manifest.txt"), [], 0
 
 
-def _run_sweep_code(params, out_dir: Path) -> int:
-    if not params["codes"]:
-        raise UsageError("sweep-code needs sweep.codes=<c1,c2,...>")
+def _run_sweep_code(params):
     params = dict(params, tw=_resolve_tw(params, "sweep-code"))
     fields = ("tw", "tau1", "tau2", "vset", "cout", "v0", "t_end")
     files, manifest = _code_sweep(params, ("experiment", "sweep-code"), "sweep_code_", fields)
-    return _emit_members(files, manifest, "sweep_code_manifest.txt", out_dir)
+    return _members(files, manifest, "sweep_code_manifest.txt"), [], 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,30 +352,23 @@ _FIGURES = {
 }
 
 
-def _emit_members(files, manifest, manifest_name: str, out_dir: Path) -> int:
-    # members first, each atomically; the manifest is always written last
-    names = []
-    for name, header, rows in files:
-        path = out_dir / name
-        _write_text_atomic(path, _csv_text(header, rows))
-        names.append(name)
-        print(f"file={path}")
-    manifest = list(manifest) + [("files", ",".join(names))]
-    manifest_path = out_dir / manifest_name
-    _write_text_atomic(manifest_path, "\n".join(f"{k}={v}" for k, v in manifest) + "\n")
-    print(f"manifest={manifest_path}")
-    return 0
+def _members(files, manifest, manifest_name: str):
+    # the members, then the manifest that lists them, so it is written last
+    manifest = [*manifest, ("files", ",".join(name for name, _, _ in files))]
+    return [("file", name, _csv_text(header, rows)) for name, header, rows in files] + [
+        ("manifest", manifest_name, "\n".join(f"{k}={v}" for k, v in manifest) + "\n")
+    ]
 
 
-def _run_reproduce(params, out_dir: Path) -> int:
+def _run_reproduce(params):
     figure = params["figure"]
-    if figure is None:
-        raise UsageError("reproduce needs a figure id")
     files, manifest = _FIGURES[figure]()
-    return _emit_members(files, manifest, f"{figure}_manifest.txt", out_dir)
+    return _members(files, manifest, f"{figure}_manifest.txt"), [], 0
 
 
-# command -> (runner, help); the sweeps have no flags and run from config files only
+# command -> (runner, help); the sweeps have no flags and run from config files only.
+# A runner computes every output from its parameters and returns its files as
+# (label, name, text), its stdout lines and its exit status; it writes nothing.
 _COMMANDS = {
     "transfer": (_run_transfer, "full transfer curve plus linearity summary"),
     "waveform": (_run_waveform, "leaky-mode output waveform for one code"),
@@ -428,7 +400,8 @@ def _list_of(conv):
 class Param:
     """A parameter of some commands: flag ``--name`` (dashes for underscores)
     unless positional, config-file key ``key``; ``conv`` and ``choices`` apply
-    to flag and file values alike."""
+    to flag and file values alike. A ``required`` parameter has no default:
+    a run without a value for it, or with an empty list, is a usage error."""
 
     name: str
     conv: Callable[[str], object]
@@ -438,6 +411,7 @@ class Param:
     choices: tuple[str, ...] | None = None
     help: str | None = None
     positional: bool = False
+    required: bool = False
 
     def read(self, value: str, where: str) -> object:
         try:
@@ -468,7 +442,8 @@ _LEAK = ("waveform", "sweep-code")
 
 # q and engine have one row per group of commands that share their default and choices
 _PARAMS = (
-    Param("code", str, None, "code", ("waveform",), help="MSB-first binary string, e.g. 10101010"),
+    Param("code", str, None, "code", ("waveform",), help="MSB-first binary string, e.g. 10101010",
+          required=True),
     Param("q", int, 8, "base.q", ("transfer", "sweep-ratio", "calibrate")),
     Param("q", int, None, "base.q", ("waveform",),
           help="expected code width (checked against --code)"),
@@ -491,14 +466,15 @@ _PARAMS = (
     Param("gain_pos", float, 1.0, "signed.gain_pos", ("transfer",)),
     Param("gain_neg", float, 1.0, "signed.gain_neg", ("transfer",)),
     Param("baseline", float, 0.0, "signed.baseline", ("transfer",)),
-    Param("ratios", _list_of(float), None, "sweep.ratios", ("sweep-ratio",)),
-    Param("codes", _list_of(str), None, "sweep.codes", ("sweep-code",)),
-    Param("input", str, None, "input", ("fit",), help="CSV file with header t,v"),
-    Param("model", str, None, "model", ("fit",), ("alpha", "dual")),
+    Param("ratios", _list_of(float), None, "sweep.ratios", ("sweep-ratio",), required=True),
+    Param("codes", _list_of(str), None, "sweep.codes", ("sweep-code",), required=True),
+    Param("input", str, None, "input", ("fit",), help="CSV file with header t,v", required=True),
+    Param("model", str, None, "model", ("fit",), ("alpha", "dual"), required=True),
     Param("max_iterations", int, 200, "fit.max_iterations", ("fit",)),
-    Param("lo", float, None, "lo", ("calibrate",)),
-    Param("hi", float, None, "hi", ("calibrate",)),
-    Param("figure", str, None, "figure", ("reproduce",), tuple(sorted(_FIGURES)), positional=True),
+    Param("lo", float, None, "lo", ("calibrate",), required=True),
+    Param("hi", float, None, "hi", ("calibrate",), required=True),
+    Param("figure", str, None, "figure", ("reproduce",), tuple(sorted(_FIGURES)),
+          positional=True, required=True),
 )
 
 
@@ -581,6 +557,18 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _emit(out_dir: Path, files, lines) -> None:
+    # runs once every output exists, so a failed run leaves no file behind
+    if files:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for label, name, text in files:
+        path = out_dir / name
+        _write_text_atomic(path, text)
+        print(f"{label}={path}")
+    for line in lines:
+        print(line)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     kind, file_out, file_params = (
         _read_experiment(args.config) if args.config else (None, None, {})
@@ -601,9 +589,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             value = getattr(args, param.name, None)
             if value is not None:
                 params[param.name] = value
-    out_dir = Path(args.out or file_out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command][0](params, out_dir)
+    for param in rows:
+        if param.required and params[param.name] in (None, []):
+            raise UsageError(f"{command} needs {param.key}")
+    files, lines, status = _COMMANDS[command][0](params)
+    _emit(Path(args.out or file_out or "."), files, lines)
+    return status
 
 
 def main(argv=None) -> int:
@@ -614,8 +605,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, FloatingPointError) as exc:
-        # arithmetic errors end like bad input: one line, exit 1, no files
+    except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
+        # arithmetic and file-system errors end like bad input: one line, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,15 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
+# most samples (RK4 steps for the numeric engine, Simpson points for the
+# quadrature) one computation may take; checked before anything is allocated
+MAX_SAMPLES = 10**7
+
+
+def _require_sample_budget(samples: float, request: str) -> None:
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(f"{request} asks for more than {MAX_SAMPLES} samples")
+
 
 @dataclass(frozen=True)
 class DigitalCode:
@@ -73,6 +82,9 @@ class TdacConfig:
             if not (math.isfinite(x) and x > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, x)
+        # the leaky propagator divides by tau2
+        if not math.isfinite(1.0 / self.tau2):
+            raise ValueError("1 / tau2 must be finite")
 
 
 def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:
@@ -148,6 +160,7 @@ def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, .
         raise ValueError("steps_per_slot must be >= 16")
     out = []
     n_points = 2 * steps_per_slot + 1
+    _require_sample_budget(config.q * n_points, "steps_per_slot")
     weights = np.ones(n_points)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -20,22 +20,11 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import DigitalCode, TdacConfig, _require_matching_width
+from .core import DigitalCode, TdacConfig, _require_matching_width, _require_sample_budget
 
 # relative |tau1 - tau2| below which the two-constant response is treated
 # as the equal-constant (alpha) case
 TAU_DEGENERACY_BAND = 1e-9
-
-# most samples (RK4 steps for the numeric engine) one simulation may produce;
-# checked before anything is allocated or stepped
-MAX_SAMPLES = 10**7
-
-
-def _require_sample_budget(samples: float, step_name: str) -> None:
-    if not samples <= MAX_SAMPLES:
-        raise ValueError(
-            f"t_end / {step_name} asks for more than {MAX_SAMPLES} samples"
-        )
 
 
 @dataclass(frozen=True)
@@ -50,6 +39,8 @@ class LeakConfig:
         v0 = float(self.v0)
         if not (math.isfinite(tau1) and tau1 > 0.0):
             raise ValueError("tau1 must be finite and positive")
+        if not math.isfinite(1.0 / tau1):
+            raise ValueError("1 / tau1 must be finite")
         if not math.isfinite(v0):
             raise ValueError("v0 must be finite")
         object.__setattr__(self, "tau1", tau1)
@@ -223,7 +214,7 @@ def simulate_leaky(
 
     n_grid = t_end / dt_out * (1.0 + 1e-12)
     # dt_out grid, slot edges and t_end itself
-    _require_sample_budget(n_grid + 1 + config.q + 2, "dt_out")
+    _require_sample_budget(n_grid + 1 + config.q + 2, "t_end / dt_out")
     n_out = int(math.floor(n_grid))
     grid = np.arange(n_out + 1) * dt_out
     edges = np.arange(config.q + 1) * config.t_w
@@ -263,7 +254,7 @@ def simulate_leaky_numeric(
 
     spans = _drive_intervals(config, code, t_end)
     # each span takes at most span / dt + 1 steps
-    _require_sample_budget(t_end / dt + len(spans) + 1, "dt")
+    _require_sample_budget(t_end / dt + len(spans) + 1, "t_end / dt")
 
     tau1 = leak.tau1
     tau2 = config.tau2

@@ -35,6 +35,11 @@ def run_cli(args):
         return exc.code
 
 
+def listing(directory):
+    """Sorted file names in a directory; a directory never created lists as empty."""
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], lines[1:]
@@ -421,6 +426,80 @@ def test_arithmetic_error_is_one_line_exit_1(argv, error, tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+# --- output contract: files only from a run that succeeds ------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--q", 0, "--ratio", 0.5],
+    ["waveform", "--code", "10201", "--ratio", 0.7],
+    ["reproduce", "fig3b"],  # fails in the patched simulate_leaky
+], ids=["transfer", "waveform", "fig3b"])
+def test_failed_run_creates_no_out_dir(argv, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "simulate_leaky", fail)
+    assert run_cli([*argv, "--out", tmp_path / "new"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "{tmp}/in.csv", "--model", "dual"],
+    ["calibrate", "--tau2", 1, "--q", 8, "--lo", 0.3, "--hi", 1.2],
+], ids=["fit", "calibrate"])
+def test_commands_without_files_create_nothing(argv, tmp_path, capsys):
+    t = np.linspace(0.0, 8.0, 300)
+    _write_csv(tmp_path / "in.csv", t, dual_exp_waveform(1.0, 1.0, 0.5, t))
+    argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run_cli([*argv, "--out", tmp_path / "new"]) == 0
+    assert "=" in capsys.readouterr().out
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_naming_a_file_is_exit_1(below, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    assert run_cli(["transfer", "--q", 4, "--ratio", 0.7, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("tiny", ["tau2", "tau1"])
+def test_subnormal_time_constant_exits_1(tiny, tmp_path, capsys):
+    # 1 / 5e-324 is inf: rejected with the parameters, before numpy sees it
+    taus = {"tau2": 1, "tau1": 1, tiny: 5e-324}
+    argv = ["waveform", "--code", 1, "--tw", 1, "--tau2", taus["tau2"], "--tau1", taus["tau1"],
+            "--out", tmp_path / "new"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 1 / {tiny} must be finite\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_readme_parameter_table_mirrors_params():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | flag | commands | default |\n|---|---|---|---|\n")[1]
+    rows = [line.strip("|").split("|") for line in table.split("\n\n")[0].splitlines()]
+    file_only = {command for command, (_, help_) in cli._COMMANDS.items() if help_ is None}
+    expected = []
+    for p in cli._PARAMS:
+        if p.positional:
+            flag = "positional"
+        elif set(p.commands) <= file_only:
+            flag = "none"
+        else:
+            flag = f"`--{p.name.replace('_', '-')}`"
+        expected.append((f"`{p.key}`", flag, ", ".join(p.commands), p.required))
+    got = [(k.strip(), f.strip(), c.strip(), d.strip().startswith("required"))
+           for k, f, c, d in rows]
+    assert got == expected
+
+
 # --- reproduce content -------------------------------------------------------
 
 def test_reproduce_fig6_sign_boundary(tmp_path):
@@ -514,8 +593,8 @@ def test_config_file_equivalent_to_flags(case, tmp_path, capsys):
     assert run_cli(["--config", cfg]) == 0
     out_file = capsys.readouterr().out.replace(str(tmp_path / "file"), "@")
     assert out_flags == out_file
-    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    names = listing(tmp_path / "flags")
+    assert names == listing(tmp_path / "file")
     for name in names:
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 

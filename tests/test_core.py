@@ -16,6 +16,7 @@ from tdacsim import (
     TdacConfig,
     convert_closed_form,
     convert_quadrature,
+    core,
 )
 
 
@@ -220,6 +221,15 @@ def test_quadrature_alternating_code():
 def test_quadrature_rejects_coarse_rule():
     with pytest.raises(ValueError):
         convert_quadrature(_cfg_ln2(), DigitalCode.from_int(1, 4), 8)
+
+
+def test_quadrature_sample_budget(monkeypatch):
+    # q * (2 * steps_per_slot + 1) Simpson points, counted before any array exists
+    monkeypatch.setattr(core, "MAX_SAMPLES", 3 * 33)
+    cfg, code = TdacConfig(q=3, t_w=0.37, tau2=1.3), DigitalCode.from_int(5, 3)
+    assert convert_quadrature(cfg, code, 16) > 0.0
+    with pytest.raises(ValueError, match="steps_per_slot asks for more than 99 samples"):
+        convert_quadrature(cfg, code, 17)
 
 
 @settings(max_examples=40)

@@ -14,6 +14,7 @@ from tdacsim import (
     TdacConfig,
     Waveform,
     alpha_waveform,
+    core,
     dual_exp_waveform,
     leaky_voltage,
     ode,
@@ -378,7 +379,7 @@ def test_sample_budget_checked_before_allocation():
 
 
 def test_sample_budget_bounds_every_run(monkeypatch):
-    monkeypatch.setattr(ode, "MAX_SAMPLES", 120)
+    monkeypatch.setattr(core, "MAX_SAMPLES", 120)
     cfg = TdacConfig(q=4, t_w=2.0, tau2=1.0)
     leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
     for simulate in (simulate_leaky, simulate_leaky_numeric):
