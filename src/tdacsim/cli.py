@@ -95,20 +95,29 @@ def _report_lines(report) -> list[str]:
     ]
 
 
+def _converter(params, q: int, tw: float):
+    # the only mapping from parameters to a converter; a signed run wraps it
+    config = TdacConfig(
+        q=q, t_w=tw, tau2=params["tau2"], v_set=params["vset"], c_out=params["cout"],
+    )
+    if not params.get("signed"):
+        return config
+    return SignedTdacConfig(
+        base=config, gain_pos=params["gain_pos"],
+        gain_neg=params["gain_neg"], baseline=params["baseline"],
+    )
+
+
+def _leak(params) -> LeakConfig:
+    return LeakConfig(tau1=params["tau1"], v0=params["v0"])
+
+
 def _run_transfer(params):
     if params["signed"] and params["engine"] == "quadrature":
         raise UsageError("the signed model has no quadrature engine")
-    tw = _resolve_tw(params, "transfer")
-    config = TdacConfig(
-        q=params["q"], t_w=tw, tau2=params["tau2"],
-        v_set=params["vset"], c_out=params["cout"],
-    )
+    config = _converter(params, params["q"], _resolve_tw(params, "transfer"))
     if params["signed"]:
-        scfg = SignedTdacConfig(
-            base=config, gain_pos=params["gain_pos"],
-            gain_neg=params["gain_neg"], baseline=params["baseline"],
-        )
-        curve = signed_transfer_curve(scfg)
+        curve = signed_transfer_curve(config)
     elif params["engine"] == "quadrature":
         _require_curve_width(config)
         # an output past the float range ends the run as an arithmetic error
@@ -127,11 +136,8 @@ def _run_waveform(params):
     if params["q"] is not None and params["q"] != code.q:
         raise ValueError(f"code has {code.q} bits but --q {params['q']} was given")
     tw = _resolve_tw(params, "waveform")
-    config = TdacConfig(
-        q=code.q, t_w=tw, tau2=params["tau2"],
-        v_set=params["vset"], c_out=params["cout"],
-    )
-    leak = LeakConfig(tau1=params["tau1"], v0=params["v0"])
+    config = _converter(params, code.q, tw)
+    leak = _leak(params)
     t_end = params["t_end"] if params["t_end"] is not None else default_t_end(config, leak)
     if params["engine"] == "numeric":
         dt = params["dt"]
@@ -201,68 +207,84 @@ def _run_calibrate(params):
     return [], [f"t_w={_fmt(tw)}", f"max_abs_inl={_fmt(achieved)}"], 0
 
 
-def _ratio_sweep(params, head, prefix: str, labels):
+def _manifest_value(value) -> str:
+    if value is None:
+        return "default"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(_manifest_value(v) for v in value)
+    return _fmt(value)
+
+
+def _members(files, head, params, keys, manifest_name: str):
+    # the members, then the manifest that lists them, so it is written last;
+    # every listed value is read from the parameters that made the members
+    manifest = [
+        head,
+        *((key, _manifest_value(params[key])) for key in keys),
+        ("files", ",".join(name for name, _, _ in files)),
+    ]
+    return [("file", name, _csv_text(header, rows)) for name, header, rows in files] + [
+        ("manifest", manifest_name, "\n".join(f"{k}={v}" for k, v in manifest) + "\n")
+    ]
+
+
+_RATIO_KEYS = ("q", "tau2", "vset", "cout", "ratios")
+_SAMPLING_KEYS = ("t_end", "dt_out", "engine")
+
+
+def _ratio_sweep(params, prefix: str, labels):
     # member i is the transfer curve at params["ratios"][i], named prefix + labels[i]
     files = []
     for label, r in zip(labels, params["ratios"]):
-        cfg = TdacConfig(q=params["q"], t_w=r * params["tau2"], tau2=params["tau2"],
-                         v_set=params["vset"], c_out=params["cout"])
-        files.append((f"{prefix}{label}.csv", "code,v_out", _transfer_rows(transfer_curve(cfg))))
-    manifest = [
-        head,
-        ("q", str(params["q"])),
-        ("tau2", _fmt(params["tau2"])),
-        ("vset", _fmt(params["vset"])),
-        ("cout", _fmt(params["cout"])),
-        ("ratios", ",".join(_fmt(r) for r in params["ratios"])),
-    ]
-    return files, manifest
+        curve = transfer_curve(_converter(params, params["q"], r * params["tau2"]))
+        files.append((f"{prefix}{label}.csv", "code,v_out", _transfer_rows(curve)))
+    return files
 
 
-def _code_sweep(params, head, prefix: str, fields):
-    # one leaky waveform per code, named prefix + code; the manifest lists
-    # the codes, then the numbers named in fields
-    leak = LeakConfig(tau1=params["tau1"], v0=params["v0"])
+def _code_sweep(params, prefix: str):
+    # one leaky waveform per code, named prefix + code; returns the files and
+    # the parameters with the t_end that was used
+    leak = _leak(params)
+    simulate = simulate_signed_leaky if params.get("signed") else simulate_leaky
     t_end = params["t_end"]
     files = []
     for text in params["codes"]:
         code = DigitalCode.from_string(text)
-        cfg = TdacConfig(q=code.q, t_w=params["tw"], tau2=params["tau2"],
-                         v_set=params["vset"], c_out=params["cout"])
+        config = _converter(params, code.q, params["tw"])
         if t_end is None:
-            t_end = default_t_end(cfg, leak)
-        wf = simulate_leaky(cfg, leak, code, t_end, params["dt_out"])
+            t_end = default_t_end(config, leak)
+        wf = simulate(config, leak, code, t_end, params["dt_out"])
         files.append((f"{prefix}{text}.csv", "t,v", _waveform_rows(wf)))
-    values = dict(params, t_end=t_end)
-    manifest = [
-        head,
-        ("codes", ",".join(params["codes"])),
-        *((key, _fmt(values[key])) for key in fields),
-        ("dt_out", "default" if params["dt_out"] is None else _fmt(params["dt_out"])),
-        ("engine", "analytic"),
-    ]
-    return files, manifest
+    return files, dict(params, t_end=t_end, engine="analytic")
 
 
 def _run_sweep_ratio(params):
-    labels = [_fmt(r) for r in params["ratios"]]
-    files, manifest = _ratio_sweep(params, ("experiment", "sweep-ratio"), "sweep_ratio_", labels)
-    return _members(files, manifest, "sweep_ratio_manifest.txt"), [], 0
+    files = _ratio_sweep(params, "sweep_ratio_", [_fmt(r) for r in params["ratios"]])
+    head = ("experiment", "sweep-ratio")
+    return _members(files, head, params, _RATIO_KEYS, "sweep_ratio_manifest.txt"), [], 0
 
 
 def _run_sweep_code(params):
     params = dict(params, tw=_resolve_tw(params, "sweep-code"))
-    fields = ("tw", "tau1", "tau2", "vset", "cout", "v0", "t_end")
-    files, manifest = _code_sweep(params, ("experiment", "sweep-code"), "sweep_code_", fields)
-    return _members(files, manifest, "sweep_code_manifest.txt"), [], 0
+    files, params = _code_sweep(params, "sweep_code_")
+    keys = ("codes", "tw", "tau1", "tau2", "vset", "cout", "v0", *_SAMPLING_KEYS)
+    head = ("experiment", "sweep-code")
+    return _members(files, head, params, keys, "sweep_code_manifest.txt"), [], 0
 
 
 # ---------------------------------------------------------------------------
-# figure reproduction
+# figure reproduction: each figure returns its files, the parameters that
+# made them and the keys of those parameters that its manifest lists
+
+_FIGURE = dict(q=8, tau2=1.0, vset=1.0, cout=1.0, v0=0.0, gain_pos=1.0, gain_neg=1.0,
+               baseline=0.0)
+
 
 def _fig2():
-    params = dict(q=8, tau2=1.0, vset=1.0, cout=1.0, ratios=[0.5, LN2, 0.9])
-    return _ratio_sweep(params, ("figure", "fig2"), "fig2_ratio_", ["0.5", "ln2", "0.9"])
+    params = dict(_FIGURE, ratios=[0.5, LN2, 0.9])
+    return _ratio_sweep(params, "fig2_ratio_", ["0.5", "ln2", "0.9"]), params, _RATIO_KEYS
 
 
 def _fig3_tw_sweep(figure: str, tau1: float, tau2: float):
@@ -270,75 +292,44 @@ def _fig3_tw_sweep(figure: str, tau1: float, tau2: float):
     # which is what makes the peak independent of the pulse width
     factors = [0.01, 0.02, 0.05]
     t_end = 6.0 * max(tau1, tau2)
-    dt_out = t_end / 600.0
-    leak = LeakConfig(tau1=tau1)
+    params = dict(_FIGURE, code="all-ones", tau1=tau1, tau2=tau2, tw=[f * tau2 for f in factors],
+                  t_end=t_end, dt_out=t_end / 600.0, engine="analytic")
+    params["q"] = [round(12.0 * max(tau1, tau2) / tw) for tw in params["tw"]]
+    leak = _leak(params)
     files = []
-    qs = []
-    tws = []
-    for f in factors:
-        tw = f * tau2
-        q = round(12.0 * max(tau1, tau2) / tw)
-        qs.append(q)
-        tws.append(tw)
-        cfg = TdacConfig(q=q, t_w=tw, tau2=tau2)
-        wf = simulate_leaky(cfg, leak, DigitalCode.from_int((1 << q) - 1, q), t_end, dt_out)
+    for f, q, tw in zip(factors, params["q"], params["tw"]):
+        ones = DigitalCode.from_int((1 << q) - 1, q)
+        wf = simulate_leaky(_converter(params, q, tw), leak, ones, t_end, params["dt_out"])
         files.append((f"{figure}_tw_{f}.csv", "t,v", _waveform_rows(wf)))
-    manifest = [
-        ("figure", figure), ("code", "all-ones"),
-        ("q", ",".join(str(q) for q in qs)),
-        ("tw", ",".join(_fmt(tw) for tw in tws)),
-        ("tau1", _fmt(tau1)), ("tau2", _fmt(tau2)),
-        ("vset", _fmt(1.0)), ("v0", _fmt(0.0)),
-        ("t_end", _fmt(t_end)), ("dt_out", _fmt(dt_out)),
-        ("engine", "analytic"),
-    ]
-    return files, manifest
+    keys = ("code", "q", "tw", "tau1", "tau2", "vset", "v0", *_SAMPLING_KEYS)
+    return files, params, keys
 
 
 def _fig3_code_sweep(figure: str, tau1: float, tau2: float):
-    tw = LN2 * tau2
-    params = dict(
-        codes=["11111111", "10101010", "01010101"], q=8, tw=tw, tau1=tau1, tau2=tau2,
-        vset=1.0, cout=1.0, v0=0.0, t_end=None,
-        dt_out=0.02 * max(tau1, tau2),
-    )
-    fields = ("q", "tw", "tau1", "tau2", "vset", "v0", "t_end")
-    return _code_sweep(params, ("figure", figure), f"{figure}_code_", fields)
+    params = dict(_FIGURE, codes=["11111111", "10101010", "01010101"], tw=LN2 * tau2,
+                  tau1=tau1, tau2=tau2, t_end=None, dt_out=0.02 * max(tau1, tau2))
+    files, params = _code_sweep(params, f"{figure}_code_")
+    keys = ("codes", "q", "tw", "tau1", "tau2", "vset", "v0", *_SAMPLING_KEYS)
+    return files, params, keys
 
 
 def _fig6_shape():
-    scfg = SignedTdacConfig(base=TdacConfig(q=8, t_w=LN2, tau2=1.0))
-    curve = signed_transfer_curve(scfg)
-    files = [("fig6_signed_transfer.csv", "code,v_out", _transfer_rows(curve))]
-    manifest = [
-        ("figure", "fig6-shape"), ("q", "8"), ("ratio", _fmt(LN2)),
-        ("tau2", _fmt(1.0)), ("vset", _fmt(1.0)), ("cout", _fmt(1.0)),
-        ("gain_pos", _fmt(1.0)), ("gain_neg", _fmt(1.0)), ("baseline", _fmt(0.0)),
-    ]
-    return files, manifest
+    params = dict(_FIGURE, ratio=LN2, signed=True)
+    config = _converter(params, params["q"], params["ratio"] * params["tau2"])
+    files = [("fig6_signed_transfer.csv", "code,v_out",
+              _transfer_rows(signed_transfer_curve(config)))]
+    keys = ("q", "ratio", "tau2", "vset", "cout", "gain_pos", "gain_neg", "baseline")
+    return files, params, keys
 
 
 def _fig7_shape():
-    codes = ["11111111", "10101010", "01111111", "01010101"]
-    tau1, tau2 = 1.0, 0.5
-    tw = LN2 * tau2
-    t_end, dt_out = 12.0, 0.02
-    scfg = SignedTdacConfig(base=TdacConfig(q=8, t_w=tw, tau2=tau2))
-    leak = LeakConfig(tau1=tau1)
-    files = []
-    for text in codes:
-        wf = simulate_signed_leaky(scfg, leak, DigitalCode.from_string(text), t_end, dt_out)
-        files.append((f"fig7_code_{text}.csv", "t,v", _waveform_rows(wf)))
-    manifest = [
-        ("figure", "fig7-shape"), ("codes", ",".join(codes)),
-        ("q", "8"), ("tw", _fmt(tw)),
-        ("tau1", _fmt(tau1)), ("tau2", _fmt(tau2)),
-        ("vset", _fmt(1.0)), ("v0", _fmt(0.0)),
-        ("gain_pos", _fmt(1.0)), ("gain_neg", _fmt(1.0)), ("baseline", _fmt(0.0)),
-        ("t_end", _fmt(t_end)), ("dt_out", _fmt(dt_out)),
-        ("engine", "analytic"),
-    ]
-    return files, manifest
+    params = dict(_FIGURE, codes=["11111111", "10101010", "01111111", "01010101"],
+                  tau1=1.0, tau2=0.5, t_end=12.0, dt_out=0.02, signed=True)
+    params["tw"] = LN2 * params["tau2"]
+    files, params = _code_sweep(params, "fig7_code_")
+    keys = ("codes", "q", "tw", "tau1", "tau2", "vset", "v0", "gain_pos", "gain_neg",
+            "baseline", *_SAMPLING_KEYS)
+    return files, params, keys
 
 
 _FIGURES = {
@@ -352,18 +343,10 @@ _FIGURES = {
 }
 
 
-def _members(files, manifest, manifest_name: str):
-    # the members, then the manifest that lists them, so it is written last
-    manifest = [*manifest, ("files", ",".join(name for name, _, _ in files))]
-    return [("file", name, _csv_text(header, rows)) for name, header, rows in files] + [
-        ("manifest", manifest_name, "\n".join(f"{k}={v}" for k, v in manifest) + "\n")
-    ]
-
-
 def _run_reproduce(params):
     figure = params["figure"]
-    files, manifest = _FIGURES[figure]()
-    return _members(files, manifest, f"{figure}_manifest.txt"), [], 0
+    files, fig_params, keys = _FIGURES[figure]()
+    return _members(files, ("figure", figure), fig_params, keys, f"{figure}_manifest.txt"), [], 0
 
 
 # command -> (runner, help); the sweeps have no flags and run from config files only.

@@ -76,7 +76,9 @@ def _phi(x: np.ndarray) -> np.ndarray:
     # (exp(x) - 1) / x, continued with 1 through x = 0
     out = np.ones_like(x)
     nz = x != 0.0
-    out[nz] = np.expm1(x[nz]) / x[nz]
+    # an overflow raises here, before it can end as an inf or NaN sample
+    with np.errstate(over="raise"):
+        out[nz] = np.expm1(x[nz]) / x[nz]
     return out
 
 
@@ -136,7 +138,8 @@ def leaky_voltage(
     ends (a sample on an edge belongs to the later stretch) and all samples
     are evaluated in one array expression. The form still overflows where
     lam (t-a) passes about 709, a leak much faster than the drive: the
-    state advance raises ``OverflowError`` and a sample gives inf or NaN.
+    state pass raises ``OverflowError`` and the sample path raises
+    ``FloatingPointError``.
     """
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
@@ -174,11 +177,14 @@ def leaky_voltage(
     k = np.searchsorted(ends[:-1], t, side="right")
     a = np.array(starts)[k]
     dt = t - a
-    out = np.array(states)[k] * np.exp(-dt / tau1)
     on = np.array(gates)[k]
-    a = a[on]
-    dt = dt[on]
-    out[on] = out[on] + v_set * dt * np.exp(-a / tau2 - dt / tau1) * _phi(lam * dt)
+    # a tiny time constant takes a decay exponent past the float range, and
+    # exp(-inf) is the right 0
+    with np.errstate(over="ignore"):
+        out = np.array(states)[k] * np.exp(-dt / tau1)
+        dt = dt[on]
+        decay = np.exp(-a[on] / tau2 - dt / tau1)
+    out[on] = out[on] + v_set * dt * decay * _phi(lam * dt)
     return out
 
 

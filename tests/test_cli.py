@@ -10,6 +10,9 @@ Regenerate it only when a correctness fix changes output values:
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +267,26 @@ def test_waveform_peak_falls_back_to_sample_maximum(tmp_path, capsys):
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
     assert "peak_time=1\npeak_value=3.6787944117144235e+307\n" in out
+
+
+def test_waveform_tiny_tau2_is_finite(tmp_path):
+    # -a / tau2 passes the float range in the sample path, and exp(-inf) is the right 0
+    argv = ["waveform", "--code", "1000000000000000001", "--tw", 1, "--tau2", 1e-307,
+            "--tau1", 1, "--out", tmp_path]
+    assert run_cli(argv) == 0
+    _, rows = read_rows(tmp_path / "waveform.csv")
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+PROPAGATOR_OVERFLOW = ["waveform", "--code", "11111111", "--tw", "6.931471805599453",
+                       "--tau2", "10", "--tau1", "0.01", "--t-end", "40"]
+
+
+def test_waveform_propagator_overflow_is_one_line_exit_1(tmp_path, capsys):
+    # the sample path's expm1 passes the float range: a leak much faster than the drive
+    assert run_cli([*PROPAGATOR_OVERFLOW, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: overflow encountered in expm1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_waveform_numeric_engine_agrees(tmp_path):
@@ -750,6 +773,78 @@ def output_digests(case, out_dir):
 def test_outputs_match_committed_digests(case, tmp_path):
     expected = json.loads(DIGESTS.read_text())[case]
     assert output_digests(case, tmp_path) == expected
+
+
+# --- manifests rerun their figures ---------------------------------------------------
+
+# figure -> the command that remakes its members, and the config lines that the
+# manifest leaves to the figure's name
+RERUNS = {
+    "fig2": ("sweep-ratio", []),
+    "fig3b": ("sweep-code", []),
+    "fig3d": ("sweep-code", []),
+    "fig6-shape": ("transfer", ["signed.enabled=true"]),
+}
+
+
+def written_members(out_dir, manifest_name):
+    """The bytes of the members one run wrote, in manifest order."""
+    manifest = out_dir / manifest_name
+    if not manifest.exists():
+        return [(out_dir / "transfer.csv").read_bytes()]
+    names = manifest.read_text().split("files=")[1].strip().split(",")
+    return [(out_dir / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("figure", sorted(RERUNS))
+def test_manifest_reruns_its_figure(figure, tmp_path):
+    command, extra = RERUNS[figure]
+    assert run_cli(["reproduce", figure, "--out", tmp_path / "figure"]) == 0
+    text = (tmp_path / "figure" / f"{figure}_manifest.txt").read_text()
+    values = dict(line.split("=", 1) for line in text.splitlines())
+    assert values.pop("figure") == figure
+    del values["files"]
+    if command == "sweep-code":
+        # the code width and the engine are fixed by the codes and by the sweep
+        assert {len(code) for code in values["codes"].split(",")} == {int(values.pop("q"))}
+        assert values.pop("engine") == "analytic"
+    keys = {param.name: param.key for param in cli._params_of(command)}
+    lines = [f"experiment={command}", *(f"{keys[k]}={v}" for k, v in values.items()), *extra]
+    cfg = tmp_path / "rerun.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "rerun"]) == 0
+    rerun_manifest = f"{command.replace('-', '_')}_manifest.txt"
+    assert written_members(tmp_path / "rerun", rerun_manifest) == written_members(
+        tmp_path / "figure", f"{figure}_manifest.txt"
+    )
+
+
+# --- the entry point in a fresh process ---------------------------------------------
+
+def run_entry_point(argv, *options):
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *options, "-m", "tdacsim", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=False,
+    )
+
+
+def test_entry_point_reproduces_fig2(tmp_path):
+    proc = run_entry_point(["reproduce", "fig2", "--out", tmp_path], "-W", "error::RuntimeWarning")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    labels = [line.split("=", 1)[0] for line in proc.stdout.splitlines()]
+    assert labels == ["file", "file", "file", "manifest"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == json.loads(DIGESTS.read_text())["fig2"]
+
+
+def test_entry_point_overflow_prints_one_line(tmp_path):
+    # numpy prints its warnings on stderr unless the run turns them into errors
+    proc = run_entry_point([*PROPAGATOR_OVERFLOW, "--out", tmp_path / "new"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: overflow encountered in expm1\n"
+    assert not (tmp_path / "new").exists()
 
 
 if __name__ == "__main__":

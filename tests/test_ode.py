@@ -368,6 +368,23 @@ def test_non_finite_samples_are_an_error():
         simulate_leaky(cfg, leak, _all_ones(1), 2.0)
 
 
+def test_sample_path_overflow_raises():
+    # one driven stretch, so only the sample path sees lam * dt = 3996
+    cfg = TdacConfig(q=8, t_w=10.0 * LN2, tau2=10.0)
+    with pytest.raises(FloatingPointError, match="overflow encountered in expm1"):
+        leaky_voltage(cfg, LeakConfig(tau1=0.01), _all_ones(8), [0.0, 1.0, 40.0])
+
+
+def test_tiny_time_constants_decay_to_zero():
+    # -a / tau2 and -dt / tau1 pass the float range; exp(-inf) is the right 0
+    cfg = TdacConfig(q=19, t_w=1.0, tau2=1e-307)
+    v = leaky_voltage(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(1 | 1 << 18, 19), [18.5])
+    assert np.isfinite(v).all()
+    flat = leaky_voltage(TdacConfig(q=1, t_w=1.0), LeakConfig(tau1=1e-307, v0=1.0),
+                         DigitalCode.from_int(0, 1), [0.0, 100.0])
+    assert flat.tolist() == [1.0, 0.0]
+
+
 def test_sample_budget_checked_before_allocation():
     cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
     leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
