@@ -1,13 +1,16 @@
 """Command-line behavior: flags, config files, CSV determinism, exit codes.
 
 ``tests/data/cli_sha256.json`` holds the sha256 of every file written by
-``tdac reproduce`` for each figure and by the two config-file sweeps below.
-Regenerate it only when a correctness fix changes output values:
+``tdac reproduce`` for each figure, by the two config-file sweeps and by the
+flag commands below, and of the flag commands' stdout. Regenerate it only
+when a correctness fix changes output values:
 
     PYTHONPATH=src python tests/test_cli.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -754,22 +757,65 @@ FIGURES = ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig6-shape", "fig7-shape
 DIGESTS = Path(__file__).parent / "data" / "cli_sha256.json"
 
 
+# flag commands, each with its exit status; {tmp} holds the fit inputs
+FLAG_RUNS = {
+    "transfer-closed-form": (0, ["transfer", "--q", 8, "--ratio", 0.77]),
+    "transfer-quadrature": (0, ["transfer", "--q", 4, "--ratio", 0.7, "--tau2", 1.7, "--vset", 1.3,
+                                "--cout", 0.6, "--engine", "quadrature", "--steps-per-slot", 32]),
+    "transfer-signed": (0, ["transfer", "--q", 8, "--tw", 0.6, "--vset", 1.5, "--cout", 2.0,
+                            "--signed", "--gain-pos", 1.25, "--gain-neg", 0.75,
+                            "--baseline", -0.1]),
+    "waveform-analytic": (0, ["waveform", "--code", "10110001", "--tau1", 1.3, "--tau2", 0.7,
+                              "--tw", 0.2]),
+    "waveform-numeric": (0, ["waveform", "--code", "1101", "--ratio", 0.4, "--engine", "numeric",
+                             "--dt", 0.01, "--t-end", 2.0]),
+    "fit-alpha": (0, ["fit", "--input", "{tmp}/dual.csv", "--model", "alpha"]),
+    "fit-dual": (0, ["fit", "--input", "{tmp}/dual.csv", "--model", "dual"]),
+    "fit-exit-3": (3, ["fit", "--input", "{tmp}/wobble.csv", "--model", "alpha",
+                       "--max-iterations", 1]),
+    "calibrate": (0, ["calibrate", "--tau2", 2.0, "--q", 6, "--lo", 0.6, "--hi", 2.4]),
+}
+
+
+def write_fit_inputs(directory):
+    t = np.linspace(0.0, 8.0, 300)
+    _write_csv(directory / "dual.csv", t, dual_exp_waveform(1.0, 1.0, 0.25, t))
+    t = np.linspace(0.0, 8.0, 200)
+    _write_csv(directory / "wobble.csv", t, alpha_waveform(1.0, 1.0, t) + 0.05 * np.sin(40.0 * t))
+
+
 def output_digests(case, out_dir):
-    """sha256 of every file one figure or sweep writes, keyed by file name."""
+    """sha256 of every file one run writes, keyed by file name, and of a flag
+    command's stdout under the key ``stdout``, its output directory as {out}."""
+    out = out_dir / "out"
+    status = 0
     if case in SWEEP_CONFIGS:
         cfg = out_dir / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIGS[case])
-        argv = ["--config", cfg, "--out", out_dir / "out"]
+        argv = ["--config", cfg]
+    elif case in FLAG_RUNS:
+        write_fit_inputs(out_dir)
+        status, argv = FLAG_RUNS[case]
+        argv = [str(a).replace("{tmp}", str(out_dir)) for a in argv]
     else:
-        argv = ["reproduce", case, "--out", out_dir / "out"]
-    assert run_cli(argv) == 0
-    return {
+        argv = ["reproduce", case]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli([*argv, "--out", out]) == status
+    digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted((out_dir / "out").iterdir())
+        for p in (sorted(out.iterdir()) if out.exists() else [])
     }
+    if case in FLAG_RUNS:
+        text = stdout.getvalue().replace(str(out), "{out}")
+        digests["stdout"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
-@pytest.mark.parametrize("case", FIGURES + sorted(SWEEP_CONFIGS))
+CASES = FIGURES + sorted(SWEEP_CONFIGS) + sorted(FLAG_RUNS)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_outputs_match_committed_digests(case, tmp_path):
     expected = json.loads(DIGESTS.read_text())[case]
     assert output_digests(case, tmp_path) == expected
@@ -848,13 +894,11 @@ def test_entry_point_overflow_prints_one_line(tmp_path):
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         table = {}
-        for case in FIGURES + sorted(SWEEP_CONFIGS):
+        for case in CASES:
             (Path(tmp) / case).mkdir()
             table[case] = output_digests(case, Path(tmp) / case)
     DIGESTS.parent.mkdir(exist_ok=True)
