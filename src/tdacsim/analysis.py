@@ -87,7 +87,9 @@ def linearity_report(curve) -> LinearityReport:
     # DNL and INL are in step units: a step that underflows to zero, or is so
     # small that the curve's spread (and the running sums of its DNL) has no
     # finite value in them, cannot measure the curve
-    if step == 0.0 or float(np.ptp(v)) / abs(step) > sys.float_info.max / v.size:
+    with np.errstate(over="raise"):
+        spread = float(np.ptp(v))
+    if step == 0.0 or spread / abs(step) > sys.float_info.max / v.size:
         raise ValueError("endpoint step too small for the spread of the curve")
     diffs = np.diff(v)
     dnl = diffs / step - 1.0

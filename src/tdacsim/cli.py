@@ -48,31 +48,51 @@ class UsageError(Exception):
     """Bad or missing command-line/config input; maps to exit code 2."""
 
 
-def _fmt(x) -> str:
-    # fixed 17-significant-digit formatting keeps every CSV byte-reproducible
-    return format(float(x), ".17g")
+class _Parser(argparse.ArgumentParser):
+    # a bad flag ends like every other usage error: one line, exit 2
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
+# ---------------------------------------------------------------------------
+# text: one rule for every value written; 17 digits keep each number exact
+
+_NUMBER = "%.17g"
+
+
+def _text(value) -> str:
+    if value is None:
+        return "default"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    return _NUMBER % value
+
+
+def _key_values(pairs) -> str:
+    return "".join(f"{key}={_text(value)}\n" for key, value in pairs)
+
+
+def _csv_text(header: str, x, y) -> str:
+    row = f"{_NUMBER},{_NUMBER}"
+    return "\n".join([header, *(row % xy for xy in zip(x.tolist(), y.tolist()))]) + "\n"
+
+
+def _curve_csv(curve: TransferCurve) -> str:
+    return _csv_text("code,v_out", np.arange(curve.outputs.size), curve.outputs)
+
+
+def _waveform_csv(wf: Waveform) -> str:
+    return _csv_text("t,v", wf.times, wf.values)
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
-
-
-def _csv_text(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
-def _transfer_rows(curve: TransferCurve) -> list[str]:
-    return [f"{c},{_fmt(v)}" for c, v in enumerate(curve.outputs)]
-
-
-def _waveform_rows(wf: Waveform) -> list[str]:
-    return [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(wf.times, wf.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +106,9 @@ def _resolve_tw(params, what: str) -> float:
     raise UsageError(f"{what} needs --tw or --ratio")
 
 
-def _report_lines(report) -> list[str]:
-    return [
-        f"lsb_step={_fmt(report.lsb_step)}",
-        f"max_abs_inl={_fmt(report.max_abs_inl)}",
-        f"max_abs_dnl={_fmt(report.max_abs_dnl)}",
-        f"monotone={_bool_str(report.monotone)}",
-    ]
+# the fields of a linearity report and of a fit that tdac prints, in order
+_REPORT_FIELDS = ("lsb_step", "max_abs_inl", "max_abs_dnl", "monotone")
+_FIT_FIELDS = ("model", "v_set_fit", "tau1_fit", "tau2_fit", "sse", "converged", "iterations")
 
 
 def _converter(params, q: int, tw: float):
@@ -127,8 +143,8 @@ def _run_transfer(params):
     else:
         curve = transfer_curve(config)
     report = linearity_report(curve)
-    files = [("csv", "transfer.csv", _csv_text("code,v_out", _transfer_rows(curve)))]
-    return files, _report_lines(report), 0
+    pairs = [(name, getattr(report, name)) for name in _REPORT_FIELDS]
+    return [("csv", "transfer.csv", _curve_csv(curve))], pairs, 0
 
 
 def _run_waveform(params):
@@ -147,8 +163,8 @@ def _run_waveform(params):
     else:
         wf = simulate_leaky(config, leak, code, t_end, params["dt_out"])
     t_peak, v_peak = peak_of(wf)
-    files = [("csv", "waveform.csv", _csv_text("t,v", _waveform_rows(wf)))]
-    return files, [f"peak_time={_fmt(t_peak)}", f"peak_value={_fmt(v_peak)}"], 0
+    pairs = [("peak_time", t_peak), ("peak_value", v_peak)]
+    return [("csv", "waveform.csv", _waveform_csv(wf))], pairs, 0
 
 
 def _read_waveform_csv(path) -> Waveform:
@@ -188,15 +204,8 @@ def _read_waveform_csv(path) -> Waveform:
 def _run_fit(params):
     wf = _read_waveform_csv(params["input"])
     result = fit_waveform(wf, params["model"], params["max_iterations"])
-    return [], [
-        f"model={result.model}",
-        f"v_set_fit={_fmt(result.v_set_fit)}",
-        f"tau1_fit={_fmt(result.tau1_fit)}",
-        f"tau2_fit={_fmt(result.tau2_fit)}",
-        f"sse={_fmt(result.sse)}",
-        f"converged={_bool_str(result.converged)}",
-        f"iterations={result.iterations}",
-    ], 0 if result.converged else 3
+    pairs = [(name, getattr(result, name)) for name in _FIT_FIELDS]
+    return [], pairs, 0 if result.converged else 3
 
 
 def _run_calibrate(params):
@@ -204,29 +213,16 @@ def _run_calibrate(params):
     achieved = linearity_report(
         transfer_curve(TdacConfig(q=params["q"], t_w=tw, tau2=params["tau2"]))
     ).max_abs_inl
-    return [], [f"t_w={_fmt(tw)}", f"max_abs_inl={_fmt(achieved)}"], 0
-
-
-def _manifest_value(value) -> str:
-    if value is None:
-        return "default"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return ",".join(_manifest_value(v) for v in value)
-    return _fmt(value)
+    return [], [("t_w", tw), ("max_abs_inl", achieved)], 0
 
 
 def _members(files, head, params, keys, manifest_name: str):
     # the members, then the manifest that lists them, so it is written last;
     # every listed value is read from the parameters that made the members
-    manifest = [
-        head,
-        *((key, _manifest_value(params[key])) for key in keys),
-        ("files", ",".join(name for name, _, _ in files)),
-    ]
-    return [("file", name, _csv_text(header, rows)) for name, header, rows in files] + [
-        ("manifest", manifest_name, "\n".join(f"{k}={v}" for k, v in manifest) + "\n")
+    manifest = [head, *((key, params[key]) for key in keys),
+                ("files", [name for name, _ in files])]
+    return [("file", name, text) for name, text in files] + [
+        ("manifest", manifest_name, _key_values(manifest))
     ]
 
 
@@ -239,7 +235,7 @@ def _ratio_sweep(params, prefix: str, labels):
     files = []
     for label, r in zip(labels, params["ratios"]):
         curve = transfer_curve(_converter(params, params["q"], r * params["tau2"]))
-        files.append((f"{prefix}{label}.csv", "code,v_out", _transfer_rows(curve)))
+        files.append((f"{prefix}{label}.csv", _curve_csv(curve)))
     return files
 
 
@@ -256,12 +252,12 @@ def _code_sweep(params, prefix: str):
         if t_end is None:
             t_end = default_t_end(config, leak)
         wf = simulate(config, leak, code, t_end, params["dt_out"])
-        files.append((f"{prefix}{text}.csv", "t,v", _waveform_rows(wf)))
+        files.append((f"{prefix}{text}.csv", _waveform_csv(wf)))
     return files, dict(params, t_end=t_end, engine="analytic")
 
 
 def _run_sweep_ratio(params):
-    files = _ratio_sweep(params, "sweep_ratio_", [_fmt(r) for r in params["ratios"]])
+    files = _ratio_sweep(params, "sweep_ratio_", [_text(r) for r in params["ratios"]])
     head = ("experiment", "sweep-ratio")
     return _members(files, head, params, _RATIO_KEYS, "sweep_ratio_manifest.txt"), [], 0
 
@@ -300,7 +296,7 @@ def _fig3_tw_sweep(figure: str, tau1: float, tau2: float):
     for f, q, tw in zip(factors, params["q"], params["tw"]):
         ones = DigitalCode.from_int((1 << q) - 1, q)
         wf = simulate_leaky(_converter(params, q, tw), leak, ones, t_end, params["dt_out"])
-        files.append((f"{figure}_tw_{f}.csv", "t,v", _waveform_rows(wf)))
+        files.append((f"{figure}_tw_{f}.csv", _waveform_csv(wf)))
     keys = ("code", "q", "tw", "tau1", "tau2", "vset", "v0", *_SAMPLING_KEYS)
     return files, params, keys
 
@@ -316,8 +312,7 @@ def _fig3_code_sweep(figure: str, tau1: float, tau2: float):
 def _fig6_shape():
     params = dict(_FIGURE, ratio=LN2, signed=True)
     config = _converter(params, params["q"], params["ratio"] * params["tau2"])
-    files = [("fig6_signed_transfer.csv", "code,v_out",
-              _transfer_rows(signed_transfer_curve(config)))]
+    files = [("fig6_signed_transfer.csv", _curve_csv(signed_transfer_curve(config)))]
     keys = ("q", "ratio", "tau2", "vset", "cout", "gain_pos", "gain_neg", "baseline")
     return files, params, keys
 
@@ -351,7 +346,8 @@ def _run_reproduce(params):
 
 # command -> (runner, help); the sweeps have no flags and run from config files only.
 # A runner computes every output from its parameters and returns its files as
-# (label, name, text), its stdout lines and its exit status; it writes nothing.
+# (label, name, text), its stdout as (key, value) pairs and its exit status; it
+# writes nothing and formats no number.
 _COMMANDS = {
     "transfer": (_run_transfer, "full transfer curve plus linearity summary"),
     "waveform": (_run_waveform, "leaky-mode output waveform for one code"),
@@ -503,7 +499,7 @@ def _read_experiment(path) -> tuple[str, str | None, dict]:
 # argument parsing and dispatch
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdac",
         description="Behavioral time-domain DAC simulator and analysis tool.",
     )
@@ -540,16 +536,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _emit(out_dir: Path, files, lines) -> None:
+def _emit(out_dir: Path, files, pairs) -> None:
     # runs once every output exists, so a failed run leaves no file behind
     if files:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for label, name, text in files:
-        path = out_dir / name
-        _write_text_atomic(path, text)
-        print(f"{label}={path}")
-    for line in lines:
-        print(line)
+    for _, name, text in files:
+        _write_text_atomic(out_dir / name, text)
+    written = [(label, str(out_dir / name)) for label, name, _ in files]
+    sys.stdout.write(_key_values(written + pairs))
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -575,16 +569,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     for param in rows:
         if param.required and params[param.name] in (None, []):
             raise UsageError(f"{command} needs {param.key}")
-    files, lines, status = _COMMANDS[command][0](params)
-    _emit(Path(args.out or file_out or "."), files, lines)
+    files, pairs, status = _COMMANDS[command][0](params)
+    _emit(Path(args.out or file_out or "."), files, pairs)
     return status
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(_join_negative_values(argv)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -179,12 +179,17 @@ def leaky_voltage(
     dt = t - a
     on = np.array(gates)[k]
     # a tiny time constant takes a decay exponent past the float range, and
-    # exp(-inf) is the right 0
-    with np.errstate(over="ignore"):
+    # exp(-inf) is the right 0; a state past it (inf * 0) raises
+    with np.errstate(over="ignore", invalid="raise"):
         out = np.array(states)[k] * np.exp(-dt / tau1)
         dt = dt[on]
         decay = np.exp(-a[on] / tau2 - dt / tau1)
-    out[on] = out[on] + v_set * dt * decay * _phi(lam * dt)
+    # lam * dt passes the float range as -inf only for lam < 0, and phi(-inf)
+    # is the right 0; any other overflow raises before it ends as inf or NaN
+    with np.errstate(over="ignore" if lam < 0.0 else "raise"):
+        x = lam * dt
+    with np.errstate(over="raise"):
+        out[on] = out[on] + v_set * dt * decay * _phi(x)
     return out
 
 
@@ -223,7 +228,9 @@ def simulate_leaky(
     _require_sample_budget(n_grid + 1 + config.q + 2, "t_end / dt_out")
     n_out = int(math.floor(n_grid))
     grid = np.arange(n_out + 1) * dt_out
-    edges = np.arange(config.q + 1) * config.t_w
+    # an edge past the float range is past t_end too, and is dropped
+    with np.errstate(over="ignore"):
+        edges = np.arange(config.q + 1) * config.t_w
     times = np.unique(np.concatenate([grid, edges[edges <= t_end], [t_end]]))
     times = times[times <= t_end]
     values = leaky_voltage(config, leak, code, times)

@@ -78,9 +78,10 @@ def convert_signed(config: SignedTdacConfig, code: DigitalCode) -> float:
 def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
     """All 256 signed outputs in code order: codes below 128 are negative."""
     v7 = code_sums(_slot_weights(_magnitude_config(config)))
-    outputs = np.concatenate(
-        [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
-    )
+    with np.errstate(over="raise"):
+        outputs = np.concatenate(
+            [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
+        )
     return TransferCurve(outputs)
 
 

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,17 +29,15 @@ from tdacsim import (
     alpha_waveform,
     cli,
     convert_quadrature,
+    core,
     dual_exp_waveform,
 )
 from tdacsim.cli import main
 
 
 def run_cli(args):
-    """Invoke the CLI in-process; argparse exits become plain return codes."""
-    try:
-        return main([str(a) for a in args])
-    except SystemExit as exc:
-        return exc.code
+    """Invoke the CLI in-process; a usage error that escapes main fails the test."""
+    return main([str(a) for a in args])
 
 
 def listing(directory):
@@ -281,6 +280,17 @@ def test_waveform_tiny_tau2_is_finite(tmp_path):
     assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
+def test_waveform_tiny_tau2_long_drive_is_finite(tmp_path, capsys):
+    # on a long driven stretch lam * dt passes the float range too, as -inf,
+    # and phi(-inf) is the right 0
+    argv = ["waveform", "--code", 1, "--tw", 100, "--tau2", 1e-307, "--tau1", 1,
+            "--out", tmp_path]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.endswith(
+        "peak_time=0.077897229106700952\npeak_value=1.0488159485995741e-307\n"
+    )
+
+
 PROPAGATOR_OVERFLOW = ["waveform", "--code", "11111111", "--tw", "6.931471805599453",
                        "--tau2", "10", "--tau1", "0.01", "--t-end", "40"]
 
@@ -435,6 +445,29 @@ def test_negative_value_in_e_notation_is_a_value(tmp_path):
 
 def test_seed_flag_is_gone(tmp_path):
     assert run_cli(["transfer", "--q", 4, "--ratio", 0.5, "--seed", 1, "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--q", "abc", "--ratio", 0.5],
+    ["transfer", "--ratio", 0.5, "--engine", "spline"],
+    ["reproduce", "fig9"],
+    ["frobnicate"],
+    ["transfer", "--ratio", 0.5, "--frobnicate", 1],
+    ["waveform", "--code", 1, "--tw", 1, "--v0"],
+], ids=["bad-int", "bad-choice", "bad-figure", "bad-command", "unknown-flag", "no-value"])
+def test_bad_flag_is_one_usage_line(argv, tmp_path, capsys):
+    assert run_cli(["--out", tmp_path / "new", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+
+
+def test_command_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["transfer", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tdac transfer ")
 
 
 @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
@@ -751,6 +784,31 @@ def test_csv_uses_17_significant_digits(tmp_path):
         assert format(float(text), ".17g") == text
 
 
+# the edge values of the 17-digit text rule: signed zero, the smallest
+# subnormal and normal, the largest float, an even integer past 2^53 and
+# values whose 17th digit rounds
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               2.0**53 + 2, 0.1 + 0.2, 1 / 3]
+
+
+def reference_text(x):
+    return format(float(x), ".17g")
+
+
+def test_text_rule_is_17_digits():
+    for x in [*EDGE_VALUES, 0, 65535, math.inf, -math.inf, math.nan]:
+        assert cli._text(x) == reference_text(x)
+
+
+@pytest.mark.parametrize("x, y", [
+    (EDGE_VALUES[::-1], EDGE_VALUES),
+    ([0, 65535], [0.1 + 0.2, 1 / 3]),  # a code column is integer
+], ids=["floats", "codes"])
+def test_csv_rows_follow_the_text_rule(x, y):
+    rows = "".join(f"{reference_text(a)},{reference_text(b)}\n" for a, b in zip(x, y))
+    assert cli._csv_text("x,y", np.array(x), np.array(y)) == "x,y\n" + rows
+
+
 # --- byte identity ------------------------------------------------------------------
 
 FIGURES = ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig6-shape", "fig7-shape"]
@@ -865,6 +923,88 @@ def test_manifest_reruns_its_figure(figure, tmp_path):
     )
 
 
+# --- the output contract over generated argv -----------------------------------------
+
+FUZZ_SPECIALS = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e-300, 1e300, 1e308]
+
+
+def fuzz_value(rng, param):
+    """A flag value for one parameter row, drawn by its converter and choices."""
+    if param.choices is not None:
+        return rng.choice(param.choices)
+    if param.conv is str:  # the code, the one free-text parameter of these commands
+        return "".join(rng.choice("01") for _ in range(rng.randint(1, 16)))
+    x = rng.choice(FUZZ_SPECIALS) if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 3.0)
+    return str(math.ceil(x)) if param.conv is int and math.isfinite(x) else repr(x)
+
+
+def fuzz_catalogue(n, seed):
+    """n argv of transfer, waveform and calibrate; each row of cli._PARAMS that
+    a command has is given a drawn value with probability 1/2, or always if required."""
+    rng = random.Random(seed)
+    catalogue = []
+    for _ in range(n):
+        command = rng.choice(["transfer", "waveform", "calibrate"])
+        argv = [command]
+        for param in cli._params_of(command):
+            if param.required or rng.random() < 0.5:
+                argv.append("--" + param.name.replace("_", "-"))
+                if param.conv is not cli._parse_bool:
+                    argv.append(fuzz_value(rng, param))
+        catalogue.append(argv)
+    return catalogue
+
+
+def keeps_output_contract(status, captured, out):
+    """exit 0: every written CSV value and printed number is finite; exit 1 or 2:
+    one error or usage-error line and no output directory."""
+    if status == 0:
+        numbers = []
+        for key, value in (line.split("=", 1) for line in captured.out.splitlines()):
+            if key == "csv":
+                numbers += [x for row in read_rows(Path(value))[1] for x in row.split(",")]
+            elif value not in ("true", "false"):
+                numbers.append(value)
+        return captured.err == "" and all(math.isfinite(float(x)) for x in numbers)
+    prefix = {1: "error: ", 2: "usage error: "}.get(status)
+    return (prefix is not None and captured.err.startswith(prefix)
+            and captured.err.count("\n") == 1 and not out.exists())
+
+
+# breaks the generated argv found at other seeds: each used to print a numpy warning
+@pytest.mark.parametrize("argv, status, err", [
+    (["transfer", "--tw", 0.3916370715679214, "--cout", 0.008991913922480003, "--signed",
+      "--gain-pos", 1e308], 1, "error: overflow encountered in multiply\n"),
+    (["transfer", "--ratio", 3.196373944843211, "--vset", 1e308, "--signed"],
+     1, "error: overflow encountered in subtract\n"),
+    (["waveform", "--code", 1, "--tw", 415.27150215670275, "--tau2", 186.8856625119386,
+      "--vset", 1e308, "--cout", 78.38198492706451],
+     1, "error: invalid value encountered in multiply\n"),
+    (["waveform", "--code", "01110", "--tw", 1e308, "--tau2", 0.01209146324626358,
+      "--tau1", 1e300, "--t-end", 0.012295643932210666], 0, ""),
+], ids=["signed-gain", "report-spread", "leaky-state", "slot-edges"])
+def test_generated_argv_breaks_stay_mended(argv, status, err, tmp_path, capsys):
+    out = tmp_path / "new"
+    assert run_cli([*argv, "--out", out]) == status
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert keeps_output_contract(status, captured, out)
+
+
+def test_generated_argv_keep_the_output_contract(tmp_path, capsys, monkeypatch):
+    # a lowered sample budget keeps every run small; a run past it is one more
+    # exit-1 case of the contract
+    monkeypatch.setattr(core, "MAX_SAMPLES", 20_000)
+    broken = []
+    for i, argv in enumerate(fuzz_catalogue(300, seed=14)):
+        out = tmp_path / str(i)
+        status = run_cli([*argv, "--out", out])
+        captured = capsys.readouterr()
+        if not keeps_output_contract(status, captured, out):
+            broken.append((argv, status, captured.err))
+    assert broken == []
+
+
 # --- the entry point in a fresh process ---------------------------------------------
 
 def run_entry_point(argv, *options):
@@ -890,6 +1030,17 @@ def test_entry_point_overflow_prints_one_line(tmp_path):
     proc = run_entry_point([*PROPAGATOR_OVERFLOW, "--out", tmp_path / "new"])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: overflow encountered in expm1\n"
+    assert not (tmp_path / "new").exists()
+
+
+# v_set * dt, or lam * dt, passes the float range on a long driven stretch
+@pytest.mark.parametrize("leak", [["--tau1", 1, "--vset", 1e308], ["--tau1", 1e-307]],
+                         ids=["vset", "tau1"])
+def test_entry_point_driven_sample_overflow_prints_one_line(leak, tmp_path):
+    argv = ["waveform", "--code", 1, "--tw", 100, "--tau2", 1, *leak, "--out", tmp_path / "new"]
+    proc = run_entry_point(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: overflow encountered in multiply\n"
     assert not (tmp_path / "new").exists()
 
 

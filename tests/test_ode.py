@@ -364,7 +364,7 @@ def test_non_finite_samples_are_an_error():
     # initial state plus drive pass the float range
     cfg = TdacConfig(q=1, t_w=1.0, tau2=1.0, v_set=1.7e308)
     leak = LeakConfig(tau1=1000.0, v0=1.7e308)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(FloatingPointError, match="overflow encountered in add"):
         simulate_leaky(cfg, leak, _all_ones(1), 2.0)
 
 
