@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# text: one rule for every value written; 17 digits keep each number exact
+# text: one rule for every value written; 17 significant digits round-trip a float
 
 _NUMBER = "%.17g"
 
