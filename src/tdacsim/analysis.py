@@ -306,7 +306,7 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     theta, sse, iters, converged, stalled = _damped_least_squares(
         model_fn, theta0, t, v, max_iterations, sse_floor
     )
-    if stalled and not converged and iters < max_iterations:
+    if stalled and iters < max_iterations:
         t_peak, _ = peak_of(waveform)
         seed = _grid_seed(model_fn, theta0.size - 1, points, t, v, max(t_peak, 1e-12))
         theta2, sse2, iters2, converged2, _ = _damped_least_squares(

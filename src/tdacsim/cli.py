@@ -151,17 +151,12 @@ def _run_waveform(params):
     code = DigitalCode.from_string(params["code"])
     if params["q"] is not None and params["q"] != code.q:
         raise ValueError(f"code has {code.q} bits but --q {params['q']} was given")
-    tw = _resolve_tw(params, "waveform")
-    config = _converter(params, code.q, tw)
-    leak = _leak(params)
-    t_end = params["t_end"] if params["t_end"] is not None else default_t_end(config, leak)
+    config = _converter(params, code.q, _resolve_tw(params, "waveform"))
     if params["engine"] == "numeric":
-        dt = params["dt"]
-        if dt is None:
-            dt = min(tw / 16.0, 1e-2 * min(leak.tau1, config.tau2, tw))
-        wf = simulate_leaky_numeric(config, leak, code, t_end, dt)
+        simulate, step = simulate_leaky_numeric, params["dt"]
     else:
-        wf = simulate_leaky(config, leak, code, t_end, params["dt_out"])
+        simulate, step = simulate_leaky, params["dt_out"]
+    wf = simulate(config, _leak(params), code, params["t_end"], step)
     t_peak, v_peak = peak_of(wf)
     pairs = [("peak_time", t_peak), ("peak_value", v_peak)]
     return [("csv", "waveform.csv", _waveform_csv(wf))], pairs, 0
@@ -561,11 +556,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     rows = _params_of(command)
     params = {param.name: param.default for param in rows}
     params.update(file_params)
-    if args.command is not None:
-        for param in rows:
-            value = getattr(args, param.name, None)
-            if value is not None:
-                params[param.name] = value
+    # with no subcommand args has no per-command attribute, so a file run keeps its values
+    for param in rows:
+        value = getattr(args, param.name, None)
+        if value is not None:
+            params[param.name] = value
     for param in rows:
         if param.required and params[param.name] in (None, []):
             raise UsageError(f"{command} needs {param.key}")

@@ -91,30 +91,23 @@ def _drive_intervals(
 ) -> list[tuple[float, float, bool]]:
     """Constant-drive stretches covering [0, t_end], merged over equal gates.
 
-    Slot k spans [k t_w, (k+1) t_w] and carries bit B_{q-k}, MSB first, so
-    each run of equal bits is one stretch; slots at or past t_end are not
-    reached and the last reached stretch is clipped to t_end.
+    Slot k spans [k t_w, (k+1) t_w] and carries bit B_{q-k}, MSB first, and a
+    clear bit after the last slot is the undriven tail. The walk over the runs
+    stops at the first one at or past t_end; the last one reached ends there.
     """
     t_w = config.t_w
     spans: list[tuple[float, float, bool]] = []
-    k = 0
-    for on, run in groupby(reversed(code.bits)):
+    # the open stretch; before the first run it is empty and undriven
+    a, gate, k = 0.0, False, 0
+    for on, run in groupby([*reversed(code.bits), False]):
         start = k * t_w
         if start >= t_end:
             break
+        spans.append((a, start, gate))
+        a, gate = start, on
         k += len(list(run))
-        spans.append((start, k * t_w, on))
-    if spans and spans[-1][1] > t_end:
-        spans[-1] = (spans[-1][0], t_end, spans[-1][2])
-    tail_start = config.q * t_w
-    if tail_start < t_end:
-        if spans and not spans[-1][2]:
-            spans[-1] = (spans[-1][0], t_end, False)
-        else:
-            spans.append((tail_start, t_end, False))
-    if not spans:
-        spans.append((0.0, t_end, False))
-    return spans
+    # the first run closed the empty stretch, which is dropped
+    return spans[1:] + [(a, t_end, gate)]
 
 
 def leaky_voltage(
@@ -193,6 +186,13 @@ def leaky_voltage(
     return out
 
 
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def default_t_end(config: TdacConfig, leak: LeakConfig) -> float:
     """Conversion window plus ten leak/drive time constants of decay."""
     return 10.0 * max(leak.tau1, config.tau2) + config.q * config.t_w
@@ -212,16 +212,8 @@ def simulate_leaky(
     discretization; after the last slot the output decays as a pure
     exponential in tau1.
     """
-    if t_end is None:
-        t_end = default_t_end(config, leak)
-    t_end = float(t_end)
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError("t_end must be positive")
-    if dt_out is None:
-        dt_out = t_end / 2048.0
-    dt_out = float(dt_out)
-    if not (math.isfinite(dt_out) and dt_out > 0.0):
-        raise ValueError("dt_out must be positive")
+    t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
+    dt_out = _positive("dt_out", t_end / 2048.0 if dt_out is None else dt_out)
 
     n_grid = t_end / dt_out * (1.0 + 1e-12)
     # dt_out grid, slot edges and t_end itself
@@ -241,23 +233,22 @@ def simulate_leaky_numeric(
     config: TdacConfig,
     leak: LeakConfig,
     code: DigitalCode,
-    t_end: float,
-    dt: float,
+    t_end: float | None = None,
+    dt: float | None = None,
 ) -> Waveform:
     """Classical fixed-step fourth-order integration of the leaky mode.
 
     Steps never straddle a slot boundary: each constant-drive stretch is
     subdivided into ceil(span / dt) equal steps, so the discontinuous gate
     is seen as a sequence of smooth problems. The returned samples are the
-    integration points themselves.
+    integration points themselves. By default t_end is ``default_t_end`` and
+    dt is min(t_w / 16, 0.01 min(tau1, tau2, t_w)), well inside both limits.
     """
     _require_matching_width(config, code)
-    t_end = float(t_end)
-    dt = float(dt)
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError("t_end must be positive")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive")
+    t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
+    if dt is None:
+        dt = min(config.t_w / 16.0, 0.01 * min(leak.tau1, config.tau2, config.t_w))
+    dt = _positive("dt", dt)
     if dt > config.t_w / 16.0:
         raise ValueError(
             "dt must be at most t_w / 16 so slot boundaries are resolved"

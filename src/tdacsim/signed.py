@@ -103,4 +103,6 @@ def simulate_signed_leaky(
     sign = 1.0 if positive else -1.0
     cfg = _magnitude_config(config, gain)
     wf = simulate_leaky(cfg, replace(leak, v0=sign * leak.v0), magnitude, t_end, dt_out)
-    return Waveform(wf.times, config.baseline + sign * wf.values)
+    with np.errstate(over="raise"):
+        values = config.baseline + sign * wf.values
+    return Waveform(wf.times, values)

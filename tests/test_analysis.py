@@ -360,9 +360,9 @@ def _grid_seed_dual(t, v, tau_center):
     return np.array([best[1], best[2], best[3]])
 
 
-def _tdac_waveform(code):
-    cfg = TdacConfig(q=8, t_w=LN2, tau2=1.0)
-    return simulate_leaky(cfg, LeakConfig(tau1=0.05), DigitalCode.from_string(code))
+def _tdac_waveform(code, tau2=1.0, tau1=0.05):
+    cfg = TdacConfig(q=8, t_w=LN2 * tau2, tau2=tau2)
+    return simulate_leaky(cfg, LeakConfig(tau1=tau1), DigitalCode.from_string(code))
 
 
 def _noisy_alpha_waveform():
@@ -394,20 +394,23 @@ def test_grid_seed_equals_per_model_searches(make_waveform, tau_center):
 
 
 # each of these stalls the damped iterations and is polished from the grid
-# reseed; the expected results are those of the per-model searches above
+# reseed; the expected results are those of the per-model searches above.
+# The TDAC waveforms have tau1 > tau2 (lam < 0): the polish of 00001110 at
+# (tau2, tau1) = (1, 2) converges to a larger sse and is discarded, the one of
+# 00000011 at (0.5, 2) is kept without converging
 @pytest.mark.parametrize("make_waveform, model, expected", [
-    (lambda: _tdac_waveform("00000001"), "dual", FitResult(
-        model="dual-exponential", v_set_fit=2.1202077279343018e-05,
-        tau1_fit=3.541813458187599, tau2_fit=3.5418068559504903,
-        sse=6.311857234030603e-06, converged=False, iterations=27)),
-    (lambda: _tdac_waveform("00000011"), "dual", FitResult(
-        model="dual-exponential", v_set_fit=7.738169873252274e-05,
-        tau1_fit=3.19199911127253, tau2_fit=3.191997759990918,
-        sse=2.9414089384988296e-05, converged=False, iterations=36)),
+    (lambda: _tdac_waveform("00001110", 1.0, 2.0), "dual", FitResult(
+        model="dual-exponential", v_set_fit=0.01205428576118875,
+        tau1_fit=3.3698819452206985, tau2_fit=3.3698818210305346,
+        sse=0.0717210121814992, converged=False, iterations=33)),
+    (lambda: _tdac_waveform("00000011", 0.5, 2.0), "dual", FitResult(
+        model="dual-exponential", v_set_fit=0.002159612479858199,
+        tau1_fit=2.564589550929781, tau2_fit=2.564589411666469,
+        sse=0.001022264930238321, converged=False, iterations=34)),
     (_exp_decay_waveform, "alpha", FitResult(
         model="alpha", v_set_fit=2718281828459.045, tau1_fit=1e-12, tau2_fit=1e-12,
         sse=10.458373780291762, converged=False, iterations=6)),
-], ids=["tdac-00000001", "tdac-00000011", "exp-decay"])
+], ids=["tdac-00001110", "tdac-00000011", "exp-decay"])
 def test_reseeded_fits_are_pinned(make_waveform, model, expected, reseed_calls):
     result = fit_waveform(make_waveform(), model)
     assert reseed_calls["_grid_seed"] == 1

@@ -358,8 +358,10 @@ def test_fit_alpha_on_dual_data_converges_with_larger_sse(tmp_path, capsys):
         ("{t},oops", "non-numeric row"),
         ("{t},inf", "non-finite value"),
         ("nan,{v}", "non-finite value"),
+        ("{t},{v},3", "expected two comma-separated fields"),
+        ("\n{t_prev},{v}", "time values must be strictly increasing"),
     ],
-    ids=["oops", "inf", "nan"],
+    ids=["oops", "inf", "nan", "three-fields", "blank-then-repeated-time"],
 )
 def test_fit_malformed_csv_reports_line(row, message, model, tmp_path, capsys):
     # one bad row in an otherwise fittable trace: without the row check an
@@ -368,10 +370,31 @@ def test_fit_malformed_csv_reports_line(row, message, model, tmp_path, capsys):
     _write_csv(tmp_path / "bad.csv", t, alpha_waveform(1.0, 1.0, t))
     lines = (tmp_path / "bad.csv").read_text().splitlines()
     t2, v2 = lines[2].split(",")
-    lines[2] = row.format(t=t2, v=v2)
+    lines[2] = row.format(t=t2, v=v2, t_prev=lines[1].split(",")[0])
     (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
     assert run_cli(["fit", "--input", tmp_path / "bad.csv", "--model", model]) == 1
-    assert f"line 3: {message}" in capsys.readouterr().err
+    lineno = 3 + row.count("\n")  # a blank line before the bad row is counted
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty input file"),
+    ("x,y\n0,1\n", "line 1: expected header 't,v'"),
+    ("t,v\n", "line 2: no data rows"),
+], ids=["empty", "header", "no-rows"])
+def test_fit_input_file_errors_exit_1(text, message, tmp_path, capsys):
+    (tmp_path / "in.csv").write_text(text)
+    assert run_cli(["fit", "--input", tmp_path / "in.csv", "--model", "dual"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_missing_input_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_cli(["fit", "--input", missing, "--model", "dual"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
 def test_fit_non_converged_exits_3(tmp_path, capsys):
@@ -388,13 +411,13 @@ def test_fit_non_converged_exits_3(tmp_path, capsys):
 def test_fit_reports_convergence_of_the_kept_run(tmp_path, capsys):
     # the first dual run stalls; the reseeded polish converges to a slightly
     # larger sse and is discarded, so its convergence flag must go with it
-    argv = ["waveform", "--code", "00000001", "--tw", LN2, "--tau2", 1, "--tau1", 0.05,
+    argv = ["waveform", "--code", "00000011", "--ratio", LN2, "--tau2", 0.5, "--tau1", 5,
             "--out", tmp_path]
     assert run_cli(argv) == 0
     capsys.readouterr()
     assert run_cli(["fit", "--input", tmp_path / "waveform.csv", "--model", "dual"]) == 3
     out = capsys.readouterr().out
-    assert "sse=6.3118572340306026e-06\n" in out
+    assert "sse=0.00054889004436767426\n" in out
     assert "converged=false\n" in out
 
 
@@ -441,6 +464,20 @@ def test_negative_value_in_e_notation_is_a_value(tmp_path):
     _, rows = read_rows(tmp_path / "waveform.csv")
     assert float(rows[0].split(",")[1]) == -1e-05
     assert run_cli(["transfer", "--q", -3, "--ratio", 0.5, "--out", tmp_path]) == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["fit", "--input", "f.csv"], None, "fit needs model"),
+    (["reproduce"], None, "reproduce needs figure"),
+    ([], "experiment=sweep-ratio\n", "sweep-ratio needs sweep.ratios"),
+], ids=["fit-model", "reproduce-figure", "sweep-ratios"])
+def test_missing_required_value_is_usage_error(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = ["--config", tmp_path / "exp.cfg"]
+    assert run_cli([*argv, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_is_gone(tmp_path):
@@ -715,6 +752,31 @@ def test_config_file_errors_exit_1(text, message, tmp_path, capsys):
     assert err.startswith("error: ") and err.endswith(message + "\n")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_config_boolean_values(tmp_path, capsys):
+    transfer = "experiment=transfer\nbase.ratio=0.6931471805599453\n"
+    (tmp_path / "off.cfg").write_text(transfer + "signed.enabled=off\n")
+    assert run_cli(["--config", tmp_path / "off.cfg", "--out", tmp_path / "off"]) == 0
+    assert run_cli(["transfer", "--ratio", LN2, "--out", tmp_path / "plain"]) == 0
+    off, plain = (tmp_path / name / "transfer.csv" for name in ("off", "plain"))
+    assert off.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    cfg = tmp_path / "maybe.cfg"
+    cfg.write_text(transfer + "signed.enabled=maybe\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "maybe"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: key 'signed.enabled': not a boolean: 'maybe'\n"
+    )
+    assert not (tmp_path / "maybe").exists()
+
+
+def test_unreadable_config_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli(["--config", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {missing}: ")
+    assert err.count("\n") == 1
 
 
 def test_config_command_mismatch_rejected(tmp_path):

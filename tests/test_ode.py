@@ -325,6 +325,33 @@ def test_drive_spans_equal_per_bit_enumeration(q, value, t_w, tau2, tau1, v0):
         )
 
 
+@st.composite
+def _walk_cases(draw):
+    # a code of any width up to 64 and a t_end at 0, on a slot edge, inside a
+    # slot or past the conversion window
+    q = draw(st.integers(1, 64))
+    value = draw(st.integers(0, (1 << q) - 1))
+    t_w = draw(st.floats(min_value=1e-3, max_value=1e3))
+    k = draw(st.integers(0, q))
+    frac = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    t_end = draw(st.sampled_from([0.0, k * t_w, (min(k, q - 1) + frac) * t_w,
+                                  q * t_w * (1.0 + frac), 3.0 * q * t_w]))
+    return TdacConfig(q=q, t_w=t_w), DigitalCode.from_int(value, q), t_end
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_walk_cases())
+def test_drive_walk_tiles_the_window(case):
+    cfg, code, t_end = case
+    spans = ode._drive_intervals(cfg, code, t_end)
+    assert spans == _enumerated_intervals(cfg, code, t_end)
+    assert spans[0][0] == 0.0 and spans[-1][1] == t_end
+    for (_, b, on), (a, _, on_next) in zip(spans, spans[1:]):
+        assert b == a and on != on_next
+    if t_end > 0.0:
+        assert all(a < b for a, b, _ in spans)
+
+
 def test_propagator_makes_no_per_span_calls(propagator_calls):
     q = 512
     cfg = TdacConfig(q=q, t_w=0.01, tau2=0.01 / LN2)
@@ -385,6 +412,17 @@ def test_tiny_time_constants_decay_to_zero():
     assert flat.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_window_and_steps_must_be_positive(bad):
+    cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
+    leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
+    for simulate, step in ((simulate_leaky, "dt_out"), (simulate_leaky_numeric, "dt")):
+        with pytest.raises(ValueError, match="^t_end must be positive$"):
+            simulate(cfg, leak, code, bad, 0.01)
+        with pytest.raises(ValueError, match=f"^{step} must be positive$"):
+            simulate(cfg, leak, code, 2.0, bad)
+
+
 def test_sample_budget_checked_before_allocation():
     cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
     leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
@@ -403,6 +441,22 @@ def test_sample_budget_bounds_every_run(monkeypatch):
         assert len(simulate(cfg, leak, code, 10.0, 0.1)) <= 120
         with pytest.raises(ValueError, match="samples"):
             simulate(cfg, leak, code, 12.0, 0.1)
+
+
+@pytest.mark.parametrize("q, t_w, tau2, tau1, v0", [
+    (8, LN2, 1.0, 0.9, 0.0), (4, 0.3, 0.5, 2.0, 0.4), (6, 2.0, 3.0, 0.2, -1.0),
+])
+def test_numeric_defaults_are_the_former_cli_window_and_step(q, t_w, tau2, tau1, v0):
+    # the window and step that tdac waveform --engine numeric used to work out itself
+    cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2)
+    leak = LeakConfig(tau1=tau1, v0=v0)
+    code = DigitalCode.from_int(0b1011 << (q - 4), q)
+    t_end = 10.0 * max(tau1, tau2) + q * t_w
+    dt = min(t_w / 16.0, 1e-2 * min(tau1, tau2, t_w))
+    default = simulate_leaky_numeric(cfg, leak, code)
+    explicit = simulate_leaky_numeric(cfg, leak, code, t_end, dt)
+    assert np.array_equal(default.times, explicit.times)
+    assert np.array_equal(default.values, explicit.values)
 
 
 def test_numeric_agrees_with_propagator():

@@ -145,3 +145,11 @@ def test_baseline_offsets_waveform():
     zero = simulate_signed_leaky(_scfg(), leak, DigitalCode.from_string("10000001"), 4.0, 0.05)
     offs = simulate_signed_leaky(cfg, leak, DigitalCode.from_string("10000001"), 4.0, 0.05)
     assert np.allclose(offs.values, zero.values + 0.35, rtol=0, atol=1e-15)
+
+
+def test_waveform_baseline_overflow_is_one_error():
+    # the drive stays finite; only the baseline added to it passes the float range
+    cfg = _scfg(base=TdacConfig(q=8, t_w=LN2, tau2=1.0, v_set=1e307), baseline=1.79e308)
+    with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+        simulate_signed_leaky(cfg, LeakConfig(tau1=1.0), DigitalCode.from_string("11111111"),
+                              12.0, 0.5)
