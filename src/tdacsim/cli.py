@@ -77,8 +77,12 @@ def _key_values(pairs) -> str:
 
 
 def _csv_text(header: str, x, y) -> str:
-    row = f"{_NUMBER},{_NUMBER}"
-    return "\n".join([header, *(row % xy for xy in zip(x.tolist(), y.tolist()))]) + "\n"
+    # x and y interleaved into one float row list, formatted by one % call;
+    # %.17g writes an integer code column's 5.0 as 5, as it writes 5
+    xy = np.empty(2 * len(x))
+    xy[0::2] = x
+    xy[1::2] = y
+    return f"{header}\n" + (f"{_NUMBER},{_NUMBER}\n" * len(x)) % tuple(xy.tolist())
 
 
 def _curve_csv(curve: TransferCurve) -> str:
@@ -520,6 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
 
 
+# a parser depends on no job data, and argparse keeps no state between
+# parse_args calls, so every main() in a process shares the one built here
+_PARSER = build_parser()
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     joined: list[str] = []
     for arg in argv:
@@ -572,7 +581,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return _dispatch(build_parser().parse_args(_join_negative_values(argv)))
+        return _dispatch(_PARSER.parse_args(_join_negative_values(argv)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

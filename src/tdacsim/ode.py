@@ -242,12 +242,12 @@ def simulate_leaky_numeric(
     subdivided into ceil(span / dt) equal steps, so the discontinuous gate
     is seen as a sequence of smooth problems. The returned samples are the
     integration points themselves. By default t_end is ``default_t_end`` and
-    dt is min(t_w / 16, 0.01 min(tau1, tau2, t_w)), well inside both limits.
+    dt is 0.01 min(tau1, tau2, t_w), well inside both limits.
     """
     _require_matching_width(config, code)
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
     if dt is None:
-        dt = min(config.t_w / 16.0, 0.01 * min(leak.tau1, config.tau2, config.t_w))
+        dt = 0.01 * min(leak.tau1, config.tau2, config.t_w)
     dt = _positive("dt", dt)
     if dt > config.t_w / 16.0:
         raise ValueError(

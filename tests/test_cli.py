@@ -15,12 +15,15 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdacsim import (
     LN2,
@@ -507,6 +510,55 @@ def test_command_help_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: tdac transfer ")
 
 
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["transfer", "--q", "4", "--ratio", "0.7", "--out", str(tmp_path)]) == 0
+
+
+# each pair runs in both orders on one parser; a leak of the first run's
+# values (--signed, the config file's parameters, --out held as a
+# subcommand default) would change what the second writes or prints
+PARSE_PAIRS = {
+    "signed": (["transfer", "--q", 8, "--ratio", 0.7, "--signed", "--out", "a"],
+               ["transfer", "--q", 8, "--ratio", 0.7, "--out", "b"]),
+    "config": (["--config", "{cfg}"],
+               ["waveform", "--code", "110", "--tw", 0.5, "--out", "b"]),
+    "out-placement": (["--out", "a", "transfer", "--q", 4, "--ratio", 0.7],
+                      ["transfer", "--q", 5, "--ratio", 0.6, "--out", "b"]),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PARSE_PAIRS))
+def test_one_parse_leaves_no_state_for_the_next(pair, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=waveform\ncode=1011\nbase.tw=0.3\nleak.tau1=2.0\nout=a\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+
+    def run(argv):
+        status = run_cli([str(a).replace("{cfg}", str(cfg)) for a in argv])
+        captured = capsys.readouterr()
+        files = {p.relative_to(work).as_posix(): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+        for p in work.iterdir():
+            shutil.rmtree(p)
+        return status, captured.out, captured.err, files
+
+    alone = []
+    for argv in PARSE_PAIRS[pair]:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        alone.append(run(argv))
+    assert [result[0] for result in alone] == [0, 0]
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    for order in ((0, 1), (1, 0)):
+        for i in order:
+            assert run(PARSE_PAIRS[pair][i]) == alone[i]
+
+
 @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
 @pytest.mark.parametrize(
     "argv", [["waveform", "--code", "1010", "--tw", 0.4], ["reproduce", "fig3b"]],
@@ -869,6 +921,33 @@ def test_text_rule_is_17_digits():
 def test_csv_rows_follow_the_text_rule(x, y):
     rows = "".join(f"{reference_text(a)},{reference_text(b)}\n" for a, b in zip(x, y))
     assert cli._csv_text("x,y", np.array(x), np.array(y)) == "x,y\n" + rows
+
+
+def per_row_csv_text(header, x, y):
+    """The row-at-a-time rule that ``_csv_text`` formats in one call."""
+    return "\n".join([header, *("%.17g,%.17g" % xy for xy in zip(x.tolist(), y.tolist()))]) + "\n"
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+
+
+@st.composite
+def csv_columns(draw):
+    n = draw(st.integers(1, 40))
+    x = draw(st.one_of(st.lists(st.integers(0, 2**16 - 1), min_size=n, max_size=n),
+                       st.lists(FINITE, min_size=n, max_size=n)))
+    return np.array(x), np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_columns())
+@example((np.array([0]), np.array([-0.0])))
+@example((np.array([1.7e308]), np.array([-1.7e308])))
+@example((np.array([2**16 - 1, 5]), np.array([5e-324, 2.2250738585072014e-308])))
+def test_csv_text_equals_the_per_row_rule(columns):
+    x, y = columns
+    assert cli._csv_text("x,y", x, y) == per_row_csv_text("x,y", x, y)
 
 
 # --- byte identity ------------------------------------------------------------------

@@ -459,6 +459,31 @@ def test_numeric_defaults_are_the_former_cli_window_and_step(q, t_w, tau2, tau1,
     assert np.array_equal(default.values, explicit.values)
 
 
+@pytest.mark.parametrize("q, t_w, tau2, tau1", [
+    (3, 0.05, 0.5, 0.5), (5, 0.4, 0.04, 0.7), (2, 5.0, 0.5, 0.05),  # t_w, tau2, tau1 least
+    (2, 2.2250738585072014e-308, 1.0, 1.0), (2, 1e-310, 1.0, 1.0), (2, 5e-324, 1.0, 1.0),
+])
+def test_numeric_default_step_is_the_former_min(q, t_w, tau2, tau1):
+    # 0.01 min(tau1, tau2, t_w) <= 0.01 t_w < t_w / 16, and rounding keeps
+    # the order (both reach 0 for the least subnormal), so dropping the
+    # t_w / 16 term of the former default moves no bit
+    former = min(t_w / 16.0, 0.01 * min(tau1, tau2, t_w))
+    assert (0.01 * min(tau1, tau2, t_w)).hex() == former.hex()
+    cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2)
+    leak = LeakConfig(tau1=tau1)
+    code = DigitalCode.from_int(1, q)
+    t_end = 10.0 * max(tau1, tau2) + q * t_w
+
+    def run(*dt):
+        try:
+            wf = simulate_leaky_numeric(cfg, leak, code, t_end, *dt)
+        except ValueError as exc:
+            return str(exc)
+        return wf.times.tobytes(), wf.values.tobytes()
+
+    assert run() == run(former)
+
+
 def test_numeric_agrees_with_propagator():
     cfg = TdacConfig(q=8, t_w=LN2, tau2=1.0)
     leak = LeakConfig(tau1=0.9)
