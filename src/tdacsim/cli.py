@@ -36,6 +36,7 @@ from .core import LN2, DigitalCode, TdacConfig, _require_curve_width, _slot_quad
 from .ode import (
     LeakConfig,
     Waveform,
+    _default_dt_out,
     default_t_end,
     peak_of,
     simulate_leaky,
@@ -116,10 +117,10 @@ _FIT_FIELDS = ("model", "v_set_fit", "tau1_fit", "tau2_fit", "sse", "converged",
 
 
 def _converter(params, q: int, tw: float):
-    # the only mapping from parameters to a converter; a signed run wraps it
-    config = TdacConfig(
-        q=q, t_w=tw, tau2=params["tau2"], v_set=params["vset"], c_out=params["cout"],
-    )
+    # the only mapping from parameters to a converter; a signed run wraps it.
+    # The leaky commands have no cout, since no leaky engine reads c_out
+    config = TdacConfig(q=q, t_w=tw, tau2=params["tau2"], v_set=params["vset"],
+                        c_out=params.get("cout", TdacConfig.c_out))
     if not params.get("signed"):
         return config
     return SignedTdacConfig(
@@ -240,19 +241,20 @@ def _ratio_sweep(params, prefix: str, labels):
 
 def _code_sweep(params, prefix: str):
     # one leaky waveform per code, named prefix + code; returns the files and
-    # the parameters with the t_end that was used
+    # the parameters with the t_end and dt_out that were used
     leak = _leak(params)
     simulate = simulate_signed_leaky if params.get("signed") else simulate_leaky
-    t_end = params["t_end"]
+    t_end, dt_out = params["t_end"], params["dt_out"]
     files = []
     for text in params["codes"]:
         code = DigitalCode.from_string(text)
         config = _converter(params, code.q, params["tw"])
         if t_end is None:
             t_end = default_t_end(config, leak)
-        wf = simulate(config, leak, code, t_end, params["dt_out"])
+        dt_out = _default_dt_out(t_end) if dt_out is None else dt_out
+        wf = simulate(config, leak, code, t_end, dt_out)
         files.append((f"{prefix}{text}.csv", _waveform_csv(wf)))
-    return files, dict(params, t_end=t_end, engine="analytic")
+    return files, dict(params, t_end=t_end, dt_out=dt_out, engine="analytic")
 
 
 def _run_sweep_ratio(params):
@@ -264,7 +266,7 @@ def _run_sweep_ratio(params):
 def _run_sweep_code(params):
     params = dict(params, tw=_resolve_tw(params, "sweep-code"))
     files, params = _code_sweep(params, "sweep_code_")
-    keys = ("codes", "tw", "tau1", "tau2", "vset", "cout", "v0", *_SAMPLING_KEYS)
+    keys = ("codes", "tw", "tau1", "tau2", "vset", "v0", *_SAMPLING_KEYS)
     head = ("experiment", "sweep-code")
     return _members(files, head, params, keys, "sweep_code_manifest.txt"), [], 0
 
@@ -429,7 +431,7 @@ _PARAMS = (
     Param("tw", float, None, "base.tw", _WIDTH),
     Param("tau2", float, 1.0, "base.tau2", _CONVERTER + ("calibrate",)),
     Param("vset", float, 1.0, "base.vset", _CONVERTER),
-    Param("cout", float, 1.0, "base.cout", _CONVERTER),
+    Param("cout", float, 1.0, "base.cout", ("transfer", "sweep-ratio")),
     Param("tau1", float, 1.0, "leak.tau1", _LEAK),
     Param("v0", float, 0.0, "leak.v0", _LEAK),
     Param("t_end", float, None, "sampling.t_end", _LEAK),

@@ -73,17 +73,27 @@ class Waveform:
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    # (exp(x) - 1) / x, continued with 1 through x = 0
-    out = np.ones_like(x)
-    nz = x != 0.0
-    # an overflow raises here, before it can end as an inf or NaN sample
+    # (exp(x) - 1) / x for x <= 0, continued with 1 at x = 0; expm1(y) = y for |y|
+    # below about 1e-16, so the (normal, hence fast) clamp changes no value
+    y = np.minimum(x, -1e-300)
+    return np.expm1(y) / y
+
+
+def _advance(a, dt, level, tau1: float, tau2: float):
+    # decay factor and driven increment dt into stretches that start at a, in the
+    # form of ``leaky_voltage``; level is v_set where driven and -0.0 where not,
+    # so an undriven increment keeps the sign of a zero state
+    lam = 1.0 / tau1 - 1.0 / tau2
+    slow = tau2 if lam > 0.0 else tau1
+    # a tiny time constant takes an exponent past the float range as -inf,
+    # and exp(-inf) and phi(-inf) are the right 0
+    with np.errstate(over="ignore"):
+        decay = np.exp(dt / -tau1)
+        tilt = np.exp(a / -tau2 - dt / slow)
+        x = -abs(lam) * dt
+    # v_set * dt is the one product here that can pass the float range
     with np.errstate(over="raise"):
-        out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
-
-
-def _phi_scalar(x: float) -> float:
-    return math.expm1(x) / x if x != 0.0 else 1.0
+        return decay, level * dt * tilt * _phi(x)
 
 
 def _drive_intervals(
@@ -122,17 +132,19 @@ def leaky_voltage(
     constant-drive stretch [a, b] the state advances by
 
         V(t) = V(a) exp(-(t-a)/tau1)
-             + v_set (t-a) exp(-a/tau2 - (t-a)/tau1) phi(lam (t-a))
+             + v_set (t-a) exp(-a/tau2 - (t-a)/slow) phi(-|lam| (t-a))
 
-    with lam = 1/tau1 - 1/tau2 and phi(x) = (e^x - 1)/x, continued with 1
-    at x = 0, so the equal-time-constant limit needs no branch. One scalar
-    pass over the stretches records each one's start, gate and state V(a);
-    then every sample finds its stretch by binary search over the stretch
-    ends (a sample on an edge belongs to the later stretch) and all samples
-    are evaluated in one array expression. The form still overflows where
-    lam (t-a) passes about 709, a leak much faster than the drive: the
-    state pass raises ``OverflowError`` and the sample path raises
-    ``FloatingPointError``.
+    with lam = 1/tau1 - 1/tau2, slow = tau2 if lam > 0 else tau1 and
+    phi(x) = (e^x - 1)/x, continued with 1 at x = 0, so the
+    equal-time-constant limit needs no branch. It is the variation-of-
+    constants step exp(-(t-a)/tau1) phi(lam (t-a)) rewritten so that phi's
+    argument is never positive: no leak is too fast for it. One kernel
+    call gives the decay factor and the driven increment of the stretch
+    ends and of all samples together; a scalar pass V(b) = V(a) d + g
+    chains the stretch states. Each sample finds its stretch by binary
+    search over the stretch ends (a sample on an edge belongs to the later
+    stretch). A value past the float range, v_set (t-a) or the sum of
+    state and drive at a sample, raises ``FloatingPointError``.
     """
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
@@ -145,45 +157,23 @@ def leaky_voltage(
     if t.size > 1 and np.any(np.diff(t) < 0.0):
         raise ValueError("sample times must be sorted")
 
-    tau1 = leak.tau1
-    tau2 = config.tau2
-    v_set = config.v_set
-    lam = 1.0 / tau1 - 1.0 / tau2
-
     spans = _drive_intervals(config, code, float(t[-1]))
     starts, ends, gates = zip(*spans)
-    states = [leak.v0]
-    # the state at the end of the last stretch is never sampled, and its
-    # advance may overflow, so it is not computed
-    for a, b, on in spans[:-1]:
-        span = b - a
-        v_state = states[-1] * math.exp(-span / tau1)
-        if on:
-            v_state += (
-                v_set
-                * span
-                * math.exp(-a / tau2 - span / tau1)
-                * _phi_scalar(lam * span)
-            )
-        states.append(v_state)
-
+    n = len(spans) - 1
+    # the stretch of each sample; a sample on an edge belongs to the later one
     k = np.searchsorted(ends[:-1], t, side="right")
-    a = np.array(starts)[k]
-    dt = t - a
-    on = np.array(gates)[k]
-    # a tiny time constant takes a decay exponent past the float range, and
-    # exp(-inf) is the right 0; a state past it (inf * 0) raises
-    with np.errstate(over="ignore", invalid="raise"):
-        out = np.array(states)[k] * np.exp(-dt / tau1)
-        dt = dt[on]
-        decay = np.exp(-a[on] / tau2 - dt / tau1)
-    # lam * dt passes the float range as -inf only for lam < 0, and phi(-inf)
-    # is the right 0; any other overflow raises before it ends as inf or NaN
-    with np.errstate(over="ignore" if lam < 0.0 else "raise"):
-        x = lam * dt
-    with np.errstate(over="raise"):
-        out[on] = out[on] + v_set * dt * decay * _phi(x)
-    return out
+    # one advance for the ends of all stretches but the last, whose state is
+    # never sampled, and for the samples after them
+    idx = np.concatenate([np.arange(n), k])
+    a = np.array(starts)[idx]
+    level = np.array([config.v_set if on else -0.0 for on in gates])[idx]
+    decay, drive = _advance(a, np.concatenate([ends[:-1], t]) - a, level, leak.tau1, config.tau2)
+    states = [leak.v0]
+    for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
+        states.append(states[-1] * d + g)
+    # a state past the float range meets a zero decay here as inf * 0, and raises
+    with np.errstate(over="raise", invalid="raise"):
+        return np.array(states)[k] * decay[n:] + drive[n:]
 
 
 def _positive(name: str, value) -> float:
@@ -196,6 +186,10 @@ def _positive(name: str, value) -> float:
 def default_t_end(config: TdacConfig, leak: LeakConfig) -> float:
     """Conversion window plus ten leak/drive time constants of decay."""
     return 10.0 * max(leak.tau1, config.tau2) + config.q * config.t_w
+
+
+def _default_dt_out(t_end: float) -> float:
+    return t_end / 2048.0
 
 
 def simulate_leaky(
@@ -213,7 +207,7 @@ def simulate_leaky(
     exponential in tau1.
     """
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
-    dt_out = _positive("dt_out", t_end / 2048.0 if dt_out is None else dt_out)
+    dt_out = _positive("dt_out", _default_dt_out(t_end) if dt_out is None else dt_out)
 
     n_grid = t_end / dt_out * (1.0 + 1e-12)
     # dt_out grid, slot edges and t_end itself

@@ -294,14 +294,38 @@ def test_waveform_tiny_tau2_long_drive_is_finite(tmp_path, capsys):
     )
 
 
-PROPAGATOR_OVERFLOW = ["waveform", "--code", "11111111", "--tw", "6.931471805599453",
-                       "--tau2", "10", "--tau1", "0.01", "--t-end", "40"]
+def test_waveform_tiny_tau1_long_drive_is_finite(tmp_path, capsys):
+    # lam * dt passes the float range as +inf; the propagator hands phi
+    # -|lam| dt = -inf instead, and phi(-inf) is the right 0
+    argv = ["waveform", "--code", 1, "--tw", 100, "--tau2", 1, "--tau1", 1e-307,
+            "--out", tmp_path]
+    assert run_cli(argv) == 0
+    _, rows = read_rows(tmp_path / "waveform.csv")
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert capsys.readouterr().err == ""
+
+
+def test_waveform_fast_leak_is_finite(tmp_path, capsys):
+    # lam * dt reaches 3996: a leak much faster than the drive, which stays on
+    # up to t_end, so every row is the dual-exponential shape
+    argv = ["waveform", "--code", "11111111", "--tw", 6.931471805599453, "--tau2", 10,
+            "--tau1", 0.01, "--t-end", 40, "--out", tmp_path]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(tmp_path / "waveform.csv")
+    t, v = np.array([row.split(",") for row in rows], dtype=float).T
+    assert len(rows) == 2054 and np.isfinite(v).all()
+    assert np.max(np.abs(v - dual_exp_waveform(1.0, 0.01, 10.0, t))) <= 1e-6 * 0.01
+
+
+# the initial state plus the drive pass the float range on the first stretch
+PROPAGATOR_OVERFLOW = ["waveform", "--code", "11", "--tw", "1", "--tau2", "1", "--tau1", "1000",
+                       "--vset", "1.7e308", "--v0", "1.7e308", "--t-end", "1"]
 
 
 def test_waveform_propagator_overflow_is_one_line_exit_1(tmp_path, capsys):
-    # the sample path's expm1 passes the float range: a leak much faster than the drive
     assert run_cli([*PROPAGATOR_OVERFLOW, "--out", tmp_path]) == 1
-    assert capsys.readouterr().err == "error: overflow encountered in expm1\n"
+    assert capsys.readouterr().err == "error: overflow encountered in add\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -701,10 +725,9 @@ EQUIVALENT_FORMS = {
     ),
     "waveform": (
         ["waveform", "--code", "10110001", "--q", 8, "--tau1", 1.3, "--tau2", 0.7, "--tw", 0.2,
-         "--vset", 1.1, "--cout", 0.9, "--v0", 0.1, "--t-end", 4.0, "--dt-out", 0.05],
+         "--vset", 1.1, "--v0", 0.1, "--t-end", 4.0, "--dt-out", 0.05],
         ["code=10110001", "base.q=8", "leak.tau1=1.3", "base.tau2=0.7", "base.tw=0.2",
-         "base.vset=1.1", "base.cout=0.9", "leak.v0=0.1", "sampling.t_end=4.0",
-         "sampling.dt_out=0.05"],
+         "base.vset=1.1", "leak.v0=0.1", "sampling.t_end=4.0", "sampling.dt_out=0.05"],
     ),
     "waveform-numeric": (
         ["waveform", "--code", "1101", "--ratio", 0.4, "--engine", "numeric", "--dt", 0.01,
@@ -1064,6 +1087,42 @@ def test_manifest_reruns_its_figure(figure, tmp_path):
     )
 
 
+def test_leaky_commands_take_no_cout(tmp_path, capsys):
+    # no leaky engine reads c_out, so neither waveform nor sweep-code has it
+    argv = ["waveform", "--code", "1101", "--ratio", 0.4, "--cout", 7, "--out", tmp_path / "new"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --cout 7\n"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment=sweep-code\nbase.tw=0.25\nbase.cout=7\nsweep.codes=11\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "new"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: unknown key 'base.cout' for experiment 'sweep-code'\n"
+    )
+    assert not (tmp_path / "new").exists()
+
+
+def test_sweep_code_manifest_reruns_to_the_same_bytes(tmp_path):
+    # a run that leaves t_end and dt_out to their defaults lists the values it
+    # used, so its manifest read back as a config file makes the same files
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment=sweep-code\nbase.ratio=0.6931471805599453\nleak.tau1=0.5\n"
+                   "sweep.codes=1011,01100110\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "first"]) == 0
+    manifest = tmp_path / "first" / "sweep_code_manifest.txt"
+    values = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+    del values["files"]
+    assert values.pop("engine") == "analytic"
+    keys = {param.name: param.key for param in cli._params_of("sweep-code")}
+    keys["experiment"] = "experiment"
+    back = tmp_path / "back.cfg"
+    back.write_text("".join(f"{keys[k]}={v}\n" for k, v in values.items()))
+    assert run_cli(["--config", back, "--out", tmp_path / "back"]) == 0
+    first = sorted((tmp_path / "first").iterdir())
+    assert [p.name for p in first] == sorted(p.name for p in (tmp_path / "back").iterdir())
+    for path in first:
+        assert path.read_bytes() == (tmp_path / "back" / path.name).read_bytes()
+
+
 # --- the output contract over generated argv -----------------------------------------
 
 FUZZ_SPECIALS = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e-300, 1e300, 1e308]
@@ -1119,8 +1178,8 @@ def keeps_output_contract(status, captured, out):
     (["transfer", "--ratio", 3.196373944843211, "--vset", 1e308, "--signed"],
      1, "error: overflow encountered in subtract\n"),
     (["waveform", "--code", 1, "--tw", 415.27150215670275, "--tau2", 186.8856625119386,
-      "--vset", 1e308, "--cout", 78.38198492706451],
-     1, "error: invalid value encountered in multiply\n"),
+      "--vset", 1e308],
+     1, "error: overflow encountered in multiply\n"),
     (["waveform", "--code", "01110", "--tw", 1e308, "--tau2", 0.01209146324626358,
       "--tau1", 1e300, "--t-end", 0.012295643932210666], 0, ""),
 ], ids=["signed-gain", "report-spread", "leaky-state", "slot-edges"])
@@ -1170,12 +1229,14 @@ def test_entry_point_overflow_prints_one_line(tmp_path):
     # numpy prints its warnings on stderr unless the run turns them into errors
     proc = run_entry_point([*PROPAGATOR_OVERFLOW, "--out", tmp_path / "new"])
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: overflow encountered in expm1\n"
+    assert proc.stderr == "error: overflow encountered in add\n"
     assert not (tmp_path / "new").exists()
 
 
-# v_set * dt, or lam * dt, passes the float range on a long driven stretch
-@pytest.mark.parametrize("leak", [["--tau1", 1, "--vset", 1e308], ["--tau1", 1e-307]],
+# v_set * dt passes the float range on a long driven stretch; at a tiny tau1
+# the drive's decay is 0, which must not hide the overflow as inf * 0
+@pytest.mark.parametrize("leak", [["--tau1", 1, "--vset", 1e308],
+                                  ["--tau1", 1e-307, "--vset", 1e308]],
                          ids=["vset", "tau1"])
 def test_entry_point_driven_sample_overflow_prints_one_line(leak, tmp_path):
     argv = ["waveform", "--code", 1, "--tw", 100, "--tau2", 1, *leak, "--out", tmp_path / "new"]
