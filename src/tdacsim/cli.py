@@ -241,19 +241,18 @@ def _ratio_sweep(params, prefix: str, labels):
 
 def _code_sweep(params, prefix: str):
     # one leaky waveform per code, named prefix + code; returns the files and
-    # the parameters with the t_end and dt_out that were used
+    # the parameters with the t_end and dt_out that were used. The default
+    # t_end covers every code, so no member depends on the order of the codes
     leak = _leak(params)
     simulate = simulate_signed_leaky if params.get("signed") else simulate_leaky
+    codes = [DigitalCode.from_string(text) for text in params["codes"]]
+    configs = [_converter(params, code.q, params["tw"]) for code in codes]
     t_end, dt_out = params["t_end"], params["dt_out"]
-    files = []
-    for text in params["codes"]:
-        code = DigitalCode.from_string(text)
-        config = _converter(params, code.q, params["tw"])
-        if t_end is None:
-            t_end = default_t_end(config, leak)
-        dt_out = _default_dt_out(t_end) if dt_out is None else dt_out
-        wf = simulate(config, leak, code, t_end, dt_out)
-        files.append((f"{prefix}{text}.csv", _waveform_csv(wf)))
+    if t_end is None:
+        t_end = max(default_t_end(config, leak) for config in configs)
+    dt_out = _default_dt_out(t_end) if dt_out is None else dt_out
+    files = [(f"{prefix}{text}.csv", _waveform_csv(simulate(config, leak, code, t_end, dt_out)))
+             for text, code, config in zip(params["codes"], codes, configs)]
     return files, dict(params, t_end=t_end, dt_out=dt_out, engine="analytic")
 
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import tdacsim
@@ -50,6 +51,19 @@ def propagator_calls(monkeypatch):
     """
     counts = Counter()
     _count_calls(monkeypatch, counts, ode, "_phi")
+    return counts
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """Count the ``np.exp`` calls a test makes.
+
+    The Simpson quadrature evaluates the drive of all slots in one array
+    call, so a quadrature that calls ``np.exp`` once per slot has fallen
+    back to a per-slot loop.
+    """
+    counts = Counter()
+    monkeypatch.setattr(np, "exp", _counted(counts, "exp", np.exp))
     return counts
 
 

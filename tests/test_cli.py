@@ -1123,6 +1123,22 @@ def test_sweep_code_manifest_reruns_to_the_same_bytes(tmp_path):
         assert path.read_bytes() == (tmp_path / "back" / path.name).read_bytes()
 
 
+def test_sweep_code_members_do_not_depend_on_code_order(tmp_path):
+    # the default t_end is the widest code's, whichever code comes first
+    manifests = {}
+    for sub, codes in (("fwd", "1011,01100110"), ("rev", "01100110,1011")):
+        cfg = tmp_path / f"{sub}.cfg"
+        cfg.write_text(f"experiment=sweep-code\nbase.ratio=0.6931471805599453\n"
+                       f"leak.tau1=0.5\nsweep.codes={codes}\n")
+        assert run_cli(["--config", cfg, "--out", tmp_path / sub]) == 0
+        text = (tmp_path / sub / "sweep_code_manifest.txt").read_text()
+        manifests[sub] = dict(line.split("=", 1) for line in text.splitlines())
+    assert manifests["fwd"]["t_end"] == manifests["rev"]["t_end"]
+    assert float(manifests["fwd"]["t_end"]) == 10.0 + 8 * 0.6931471805599453
+    for name in ("sweep_code_1011.csv", "sweep_code_01100110.csv"):
+        assert (tmp_path / "fwd" / name).read_bytes() == (tmp_path / "rev" / name).read_bytes()
+
+
 # --- the output contract over generated argv -----------------------------------------
 
 FUZZ_SPECIALS = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e-300, 1e300, 1e308]

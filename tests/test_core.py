@@ -232,6 +232,47 @@ def test_quadrature_sample_budget(monkeypatch):
         convert_quadrature(cfg, code, 17)
 
 
+def _per_slot_quadratures(config, steps_per_slot):
+    # the quadrature as one linspace, one exp and one dot per slot: the
+    # reference the array form must equal bit for bit
+    out = []
+    n_points = 2 * steps_per_slot + 1
+    weights = np.ones(n_points)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    h = config.t_w / (2 * steps_per_slot)
+    for k in range(config.q):
+        grid = k * config.t_w + np.linspace(0.0, config.t_w, n_points)
+        v = config.v_set * np.exp(-grid / config.tau2)
+        out.append(float(h / 3.0 * np.dot(weights, v)))
+    return tuple(out)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 40),
+    st.integers(16, 400),
+    _log_uniform(1e-3, 1e3),
+    st.floats(0.05, 3.0),
+    _log_uniform(1e-3, 1e3),
+)
+def test_slot_quadratures_equal_the_per_slot_rule(q, steps_per_slot, tau2, ratio, v_set):
+    cfg = TdacConfig(q=q, t_w=ratio * tau2, tau2=tau2, v_set=v_set)
+    got = core._slot_quadratures.__wrapped__(cfg, steps_per_slot)
+    assert got == _per_slot_quadratures(cfg, steps_per_slot)
+
+
+@pytest.mark.parametrize("q", [1, 8, 16])
+def test_slot_quadratures_make_one_exp_call(exp_calls, q):
+    cfg = TdacConfig(q=q, t_w=0.37, tau2=1.3)
+    assert len(core._slot_quadratures.__wrapped__(cfg, 33)) == q
+    assert exp_calls["exp"] == 1
+
+
 @settings(max_examples=40)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
