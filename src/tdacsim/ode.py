@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class Waveform:
             raise ValueError("times and values must be matching non-empty 1-D arrays")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("waveform times and values must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("sample times must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False
@@ -98,26 +97,24 @@ def _advance(a, dt, level, tau1: float, tau2: float):
 
 def _drive_intervals(
     config: TdacConfig, code: DigitalCode, t_end: float
-) -> list[tuple[float, float, bool]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constant-drive stretches covering [0, t_end], merged over equal gates.
 
     Slot k spans [k t_w, (k+1) t_w] and carries bit B_{q-k}, MSB first, and a
-    clear bit after the last slot is the undriven tail. The walk over the runs
-    stops at the first one at or past t_end; the last one reached ends there.
+    clear bit after the last slot is the undriven tail. The stretches, arrays
+    (starts, ends, gates), are the runs of ``[*reversed(code.bits), False]``
+    found from its edges; those that start before t_end are kept, the last
+    ending there, and an empty window is one undriven stretch [0, 0].
     """
-    t_w = config.t_w
-    spans: list[tuple[float, float, bool]] = []
-    # the open stretch; before the first run it is empty and undriven
-    a, gate, k = 0.0, False, 0
-    for on, run in groupby([*reversed(code.bits), False]):
-        start = k * t_w
-        if start >= t_end:
-            break
-        spans.append((a, start, gate))
-        a, gate = start, on
-        k += len(list(run))
-    # the first run closed the empty stretch, which is dropped
-    return spans[1:] + [(a, t_end, gate)]
+    bits = np.fromiter([*reversed(code.bits), False], bool)
+    k = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+    # a start past the float range is past t_end too
+    with np.errstate(over="ignore"):
+        starts = k * config.t_w
+    n = int(np.searchsorted(starts, t_end))
+    if n == 0:
+        return np.zeros(1), np.array([t_end]), np.zeros(1, dtype=bool)
+    return starts[:n], np.append(starts[1:n], t_end), bits[k[:n]]
 
 
 def leaky_voltage(
@@ -140,11 +137,12 @@ def leaky_voltage(
     constants step exp(-(t-a)/tau1) phi(lam (t-a)) rewritten so that phi's
     argument is never positive: no leak is too fast for it. One kernel
     call gives the decay factor and the driven increment of the stretch
-    ends and of all samples together; a scalar pass V(b) = V(a) d + g
-    chains the stretch states. Each sample finds its stretch by binary
-    search over the stretch ends (a sample on an edge belongs to the later
-    stretch). A value past the float range, v_set (t-a) or the sum of
-    state and drive at a sample, raises ``FloatingPointError``.
+    ends and of all samples together, straight from the stretch arrays of
+    ``_drive_intervals``; a scalar pass V(b) = V(a) d + g chains the
+    stretch states. Each sample finds its stretch by binary search over the
+    stretch ends (a sample on an edge belongs to the later stretch). A value
+    past the float range, v_set (t-a) or the sum of state and drive at a
+    sample, raises ``FloatingPointError``.
     """
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
@@ -154,19 +152,18 @@ def leaky_voltage(
         raise ValueError("sample times must be finite")
     if t[0] < 0.0:
         raise ValueError("sample times must be >= 0")
-    if t.size > 1 and np.any(np.diff(t) < 0.0):
+    if np.any(t[1:] < t[:-1]):
         raise ValueError("sample times must be sorted")
 
-    spans = _drive_intervals(config, code, float(t[-1]))
-    starts, ends, gates = zip(*spans)
-    n = len(spans) - 1
+    starts, ends, gates = _drive_intervals(config, code, float(t[-1]))
+    n = starts.size - 1
     # the stretch of each sample; a sample on an edge belongs to the later one
     k = np.searchsorted(ends[:-1], t, side="right")
     # one advance for the ends of all stretches but the last, whose state is
     # never sampled, and for the samples after them
     idx = np.concatenate([np.arange(n), k])
-    a = np.array(starts)[idx]
-    level = np.array([config.v_set if on else -0.0 for on in gates])[idx]
+    a = starts[idx]
+    level = np.where(gates, config.v_set, -0.0)[idx]
     decay, drive = _advance(a, np.concatenate([ends[:-1], t]) - a, level, leak.tau1, config.tau2)
     states = [leak.v0]
     for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
@@ -217,8 +214,10 @@ def simulate_leaky(
     # an edge past the float range is past t_end too, and is dropped
     with np.errstate(over="ignore"):
         edges = np.arange(config.q + 1) * config.t_w
-    times = np.unique(np.concatenate([grid, edges[edges <= t_end], [t_end]]))
-    times = times[times <= t_end]
+    times = np.concatenate([grid, edges[edges <= t_end], [t_end]])
+    # one merge of the three sorted runs; a time in two of them is kept once
+    times.sort(kind="stable")
+    times = times[np.append(True, times[1:] != times[:-1]) & (times <= t_end)]
     values = leaky_voltage(config, leak, code, times)
     return Waveform(times, values)
 
@@ -236,7 +235,8 @@ def simulate_leaky_numeric(
     subdivided into ceil(span / dt) equal steps, so the discontinuous gate
     is seen as a sequence of smooth problems. The returned samples are the
     integration points themselves. By default t_end is ``default_t_end`` and
-    dt is 0.01 min(tau1, tau2, t_w), well inside both limits.
+    dt is 0.01 min(tau1, tau2, t_w). An explicit dt is at most t_w / 16 and
+    0.1 min(tau1, tau2), where the error measured below 1e-6 (v_set tau1 + |v0|).
     """
     _require_matching_width(config, code)
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
@@ -247,12 +247,12 @@ def simulate_leaky_numeric(
         raise ValueError(
             "dt must be at most t_w / 16 so slot boundaries are resolved"
         )
-    if dt > 2.785 * leak.tau1:
-        raise ValueError("dt must be at most 2.785 * tau1, the stability limit of RK4")
+    if dt > 0.1 * min(leak.tau1, config.tau2):
+        raise ValueError("dt must be at most 0.1 * min(tau1, tau2) for RK4 to be accurate")
 
-    spans = _drive_intervals(config, code, t_end)
+    starts, ends, gates = _drive_intervals(config, code, t_end)
     # each span takes at most span / dt + 1 steps
-    _require_sample_budget(t_end / dt + len(spans) + 1, "t_end / dt")
+    _require_sample_budget(t_end / dt + starts.size + 1, "t_end / dt")
 
     tau1 = leak.tau1
     tau2 = config.tau2
@@ -262,7 +262,7 @@ def simulate_leaky_numeric(
     times = [0.0]
     values = [leak.v0]
     v = leak.v0
-    for a, b, on in spans:
+    for a, b, on in zip(starts.tolist(), ends.tolist(), gates.tolist()):
         n = max(1, math.ceil((b - a) / dt))
         h = (b - a) / n
         f_lo = v_set * exp(-a / tau2) if on else 0.0

@@ -251,12 +251,12 @@ def test_waveform_sample_budget_exits_1(engine, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--tau1", 0.01, "--dt", 0.0625],
-     "dt must be at most 2.785 * tau1, the stability limit of RK4"),
+    (["--tau1", 0.01, "--dt", 0.02785],
+     "dt must be at most 0.1 * min(tau1, tau2) for RK4 to be accurate"),
     # the RK4 state passes the float range in plain float arithmetic
     (["--tau1", 1000, "--vset", 1.7e308, "--v0", 1.7e308, "--t-end", 2],
      "waveform times and values must be finite"),
-], ids=["rk4-stability", "overflow"])
+], ids=["rk4-accuracy", "overflow"])
 def test_waveform_numeric_errors_exit_1(argv, message, tmp_path, capsys):
     argv = ["waveform", "--code", "11", "--tw", 1, "--tau2", 1, "--engine", "numeric",
             *argv, "--out", tmp_path]

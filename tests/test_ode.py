@@ -1,10 +1,15 @@
 """Leaky-mode dynamics: exact propagator, numeric oracle, shape functions."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdacsim import (
@@ -294,41 +299,173 @@ def test_propagator_equals_per_span_loop(q, value, t_w, tau2, tau1, v0):
         assert np.max(np.abs(leaky_voltage(cfg, leak, code, t) - expected)) <= tol
 
 
+def _drive_spans(config, code, t_end):
+    # the (starts, ends, gates) arrays as a list of (a, b, on) tuples
+    return list(zip(*(x.tolist() for x in ode._drive_intervals(config, code, t_end))))
+
+
 @pytest.mark.parametrize("q, value, t_w, tau2, tau1, v0", _PROPAGATOR_CASES, ids=_CASE_IDS)
 def test_drive_spans_equal_per_bit_enumeration(q, value, t_w, tau2, tau1, v0):
     cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2)
     code = DigitalCode.from_int(value, q)
     for t_end in _t_end_cases(cfg) + [0.0]:
-        assert ode._drive_intervals(cfg, code, t_end) == _enumerated_intervals(
-            cfg, code, t_end
-        )
+        assert _drive_spans(cfg, code, t_end) == _enumerated_intervals(cfg, code, t_end)
 
 
 @st.composite
 def _walk_cases(draw):
-    # a code of any width up to 64 and a t_end at 0, on a slot edge, inside a
-    # slot or past the conversion window
-    q = draw(st.integers(1, 64))
-    value = draw(st.integers(0, (1 << q) - 1))
+    # a code of any width up to 1,100, random or alternating either way, and
+    # a t_end at 0, on a slot edge, inside a slot or past the conversion window
+    q = draw(st.integers(1, 1100))
+    pattern = draw(st.sampled_from(["random", "10", "01"]))
+    if pattern == "random":
+        code = DigitalCode.from_int(draw(st.integers(0, (1 << q) - 1)), q)
+    else:
+        code = DigitalCode.from_string((pattern * q)[:q])
     t_w = draw(st.floats(min_value=1e-3, max_value=1e3))
     k = draw(st.integers(0, q))
     frac = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
     t_end = draw(st.sampled_from([0.0, k * t_w, (min(k, q - 1) + frac) * t_w,
                                   q * t_w * (1.0 + frac), 3.0 * q * t_w]))
-    return TdacConfig(q=q, t_w=t_w), DigitalCode.from_int(value, q), t_end
+    return TdacConfig(q=q, t_w=t_w), code, t_end
+
+
+def _assert_tiles(spans, t_end):
+    assert spans[0][0] == 0.0 and spans[-1][1] == t_end
+    for (_, b, on), (a, _, on_next) in zip(spans, spans[1:]):
+        assert b == a and on != on_next
+    if t_end > 0.0:
+        assert all(a < b for a, b, _ in spans)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_walk_cases())
 def test_drive_walk_tiles_the_window(case):
     cfg, code, t_end = case
-    spans = ode._drive_intervals(cfg, code, t_end)
+    spans = _drive_spans(cfg, code, t_end)
     assert spans == _enumerated_intervals(cfg, code, t_end)
-    assert spans[0][0] == 0.0 and spans[-1][1] == t_end
-    for (_, b, on), (a, _, on_next) in zip(spans, spans[1:]):
-        assert b == a and on != on_next
-    if t_end > 0.0:
-        assert all(a < b for a, b, _ in spans)
+    _assert_tiles(spans, t_end)
+
+
+@pytest.mark.parametrize("code", ["10" * 550, "01" * 550])
+def test_drive_starts_past_the_float_range_are_dropped(code):
+    # from slot 180 on k t_w passes the float range; t_end ends slot 149
+    cfg = TdacConfig(q=1100, t_w=1e306)
+    code = DigitalCode.from_string(code)
+    spans = _drive_spans(cfg, code, 1.495e308)
+    assert spans == _enumerated_intervals(cfg, code, 1.495e308)
+    assert len(spans) == 150
+    _assert_tiles(spans, 1.495e308)
+
+
+# --- the array path, pinned bit for bit -------------------------------------
+
+def _unique_merge(config, t_end, dt_out):
+    # the former sample times: np.unique over the dt_out grid, the slot edges
+    # up to t_end and t_end itself, less a grid point past t_end
+    n_out = int(math.floor(t_end / dt_out * (1.0 + 1e-12)))
+    grid = np.arange(n_out + 1) * dt_out
+    edges = np.arange(config.q + 1) * config.t_w
+    times = np.unique(np.concatenate([grid, edges[edges <= t_end], [t_end]]))
+    return times[times <= t_end]
+
+
+@st.composite
+def _grid_cases(draw):
+    # a dt_out that divides t_w puts grid points on slot edges, so a time
+    # comes from two runs; t_end on an edge, inside a slot or past the window
+    q = draw(st.integers(1, 64))
+    t_w = draw(st.floats(min_value=1e-3, max_value=1e3))
+    if draw(st.booleans()):
+        dt_out = t_w / draw(st.integers(1, 16))
+    else:
+        dt_out = t_w * draw(st.floats(min_value=0.05, max_value=3.0))
+    k = draw(st.integers(1, q))
+    frac = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    t_end = draw(st.sampled_from([k * t_w, (k - frac) * t_w, q * t_w * (1.0 + frac)]))
+    return TdacConfig(q=q, t_w=t_w), t_end, dt_out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_cases())
+# every slot edge and t_end are grid points too
+@example((TdacConfig(q=4, t_w=1.0), 4.0, 0.25))
+@example((TdacConfig(q=8, t_w=LN2), 8 * LN2, LN2 / 4))
+def test_sample_grid_is_the_former_unique_merge(case):
+    cfg, t_end, dt_out = case
+    code = DigitalCode.from_int(1, cfg.q)
+    wf = simulate_leaky(cfg, LeakConfig(tau1=1.0), code, t_end, dt_out)
+    assert wf.times.tobytes() == _unique_merge(cfg, t_end, dt_out).tobytes()
+
+
+def _digest(wf):
+    return hashlib.sha256(wf.times.tobytes() + wf.values.tobytes()).hexdigest()
+
+
+# sha256 of times then values of simulate_leaky (default window and grid)
+# and of simulate_leaky_numeric (t_end 1.285, dt t_w / 16) for 1,024-bit
+# alternating codes, made with the former tuple-list stretch walk
+_PINS = [
+    ("10", 1.0, 0.5, 0.0,
+     "79fac68bcfb668bfb5fcc672046148eaef882e65b11ffa2a03b9a380c2102335",
+     "5f25fbf8b9f93adf16be215b0af595ee808d3821d6f7f5e74048131127802e67"),
+    ("10", 0.5, 1.0, 0.3,
+     "7a3dea5dbd7b2586524a4bbb41c6e70dc6df185a19b85feffb517d812be64cfb",
+     "fb3a00cecf17e4f45adf35a06d277999f6fecac22c912ecdf76b22dc4e432705"),
+    ("10", 0.7, 0.7, -1.2,
+     "7d962f23015169f4034979927cfa803e5b5941d1be72cff6146e344af8e93b9c",
+     "a31fdc4f9ee52d0e81180b3ff1c5bc16d51c3c8b58747f33a0a81789b4fd33e1"),
+    ("01", 1.0, 0.5, 0.0,
+     "d4a2b0707bfed37619ce23ad68e98dea6e7a3fc83e2e0c171734ddc4e7ef1a8c",
+     "99260af3852bbe07e782d85dfa93869b46a2b5a90120ae05cfb2adeebcc4b748"),
+    ("01", 0.5, 1.0, 0.3,
+     "aab1ca86ece9b591d3bac73888890f7fa107597a428dce6858e7d31fff991094",
+     "295f5de3f2df941f3a5f8cac67cb69183fd5eff9c0114571c2b9acae646cdd72"),
+    ("01", 0.7, 0.7, -1.2,
+     "3f8ee1ebe0e5413583508db0487d26fc2fcef0a9c1dc63a1aa71286adae0e55a",
+     "84f07d9edb37182adf65f02483986e3b3fe3ee726f9ed95559af23147359e277"),
+]
+
+
+@pytest.mark.parametrize("pair, tau2, tau1, v0, exact, rk4", _PINS, ids=[
+    f"{pair}-lam{'>' if tau1 < tau2 else '<' if tau1 > tau2 else '='}0"
+    for pair, tau2, tau1, *_ in _PINS
+])
+def test_alternating_1024_bit_outputs_are_pinned(pair, tau2, tau1, v0, exact, rk4):
+    cfg = TdacConfig(q=1024, t_w=0.01, tau2=tau2, v_set=1.7)
+    leak = LeakConfig(tau1=tau1, v0=v0)
+    code = DigitalCode.from_string(pair * 512)
+    assert _digest(simulate_leaky(cfg, leak, code)) == exact
+    assert _digest(simulate_leaky_numeric(cfg, leak, code, 1.285, cfg.t_w / 16)) == rk4
+
+
+_EVERY_ENGINE = """
+import sys
+from tdacsim import *
+cfg = TdacConfig(q=4, t_w=LN2)
+leak = LeakConfig(tau1=0.5)
+code = DigitalCode.from_string("1011")
+wf = simulate_leaky(cfg, leak, code)
+simulate_leaky_numeric(cfg, leak, code)
+simulate_signed_leaky(SignedTdacConfig(TdacConfig(q=8, t_w=LN2)), leak,
+                      DigitalCode.from_string("10110011"))
+fit_waveform(wf, "alpha")
+fit_waveform(wf, "dual")
+transfer_curve(cfg)
+calibrate_pulse_width(1.0, 4, (0.3, 1.2))
+convert_quadrature(cfg, code)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_engines_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which every fresh
+    # process that simulates would pay for
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_ENGINE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=False)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 def test_propagator_makes_no_per_span_calls(propagator_calls):
@@ -355,15 +492,22 @@ def test_numeric_rejects_coarse_step():
         simulate_leaky_numeric(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4), 1.0, 0.05)
 
 
-def test_numeric_refuses_steps_past_rk4_stability():
-    # past dt = 2.785 tau1 each step amplifies the state instead of damping it
+def test_numeric_refuses_steps_past_its_accuracy_bound():
+    # at dt = 2.785 tau1, inside RK4's stability limit, every row was <= 0
+    # where the exact response peaks at 0.0095; the bound is 0.1 min(tau1, tau2)
     cfg = TdacConfig(q=2, t_w=1.0, tau2=1.0)
     leak = LeakConfig(tau1=0.01)
     code = DigitalCode.from_string("11")
-    with pytest.raises(ValueError, match="stability limit"):
-        simulate_leaky_numeric(cfg, leak, code, 3.0, 0.0625)
-    wf = simulate_leaky_numeric(cfg, leak, code, 3.0, 2.785 * leak.tau1)
-    assert np.max(np.abs(wf.values)) < 0.01
+    for dt in (2.785 * leak.tau1, 0.0011):
+        with pytest.raises(ValueError, match=r"^dt must be at most 0.1 \* min\(tau1, tau2\)"):
+            simulate_leaky_numeric(cfg, leak, code, 3.0, dt)
+    wf = simulate_leaky_numeric(cfg, leak, code, 3.0, 0.1 * leak.tau1)
+    exact = leaky_voltage(cfg, leak, code, wf.times)
+    assert np.max(np.abs(wf.values - exact)) <= 1e-6 * cfg.v_set * leak.tau1
+    # the bound holds for tau2 the smaller constant too
+    fast = TdacConfig(q=2, t_w=1.0, tau2=0.01)
+    with pytest.raises(ValueError, match="0.1"):
+        simulate_leaky_numeric(fast, LeakConfig(tau1=1.0), code, 3.0, 0.0011)
 
 
 def test_non_finite_samples_are_an_error():
