@@ -329,16 +329,16 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     )
 
 
-def _max_abs_inl(config: TdacConfig) -> float:
-    # max |INL| of the leak-free transfer curve from its q slot weights alone.
-    # The curve starts at 0.0 and ends at the left fold of the weights, and
-    # INL(c) = sum_k b_k (w_k / step - 2^k) is linear in the bits of c, so
-    # its extremes are the sum of the positive terms and of the negative ones
-    weights = _slot_weights(config)
+def _max_abs_inl(weights: tuple[float, ...]) -> float:
+    # max |INL| of the curve of a converter with these slot weights (MSB slot
+    # first), from the weights alone. The curve starts at 0.0 and ends at the
+    # left fold of the weights, and INL(c) = sum_k b_k (w_k / step - 2^k) is
+    # linear in the bits of c, so its extremes are the sum of the positive
+    # terms and of the negative ones
     total = 0.0
     for w in weights:
         total += w
-    n = 1 << config.q
+    n = 1 << len(weights)
     if total == 0.0:
         raise ValueError("degenerate flat curve: endpoint step is zero")
     if not math.isfinite(total):
@@ -391,7 +391,8 @@ def calibrate_pulse_width(
         raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
 
     def objective(tw: float) -> float:
-        return _max_abs_inl(TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out))
+        config = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
+        return _max_abs_inl(_slot_weights(config))
 
     tol = _CALIBRATION_REL_TOL * tau2
     a, b = lo, hi

@@ -62,8 +62,6 @@ _NUMBER = "%.17g"
 
 
 def _text(value) -> str:
-    if value is None:
-        return "default"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):

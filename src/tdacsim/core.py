@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,7 +104,6 @@ def _require_finite(v: float) -> float:
     return v
 
 
-@lru_cache(maxsize=512)
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
     # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
     # divided by c_out
@@ -151,7 +149,6 @@ def convert_closed_form(config: TdacConfig, code: DigitalCode) -> float:
     return _require_finite(_set_bit_sum(weights, code))
 
 
-@lru_cache(maxsize=512)
 def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, ...]:
     # composite Simpson with slot edges as hard breakpoints: the bit gate is
     # discontinuous there, so no panel may straddle a boundary. Row k of v is

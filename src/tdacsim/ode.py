@@ -235,7 +235,7 @@ def simulate_leaky_numeric(
     subdivided into ceil(span / dt) equal steps, so the discontinuous gate
     is seen as a sequence of smooth problems. The returned samples are the
     integration points themselves. By default t_end is ``default_t_end`` and
-    dt is 0.01 min(tau1, tau2, t_w). An explicit dt is at most t_w / 16 and
+    dt is 0.01 min(tau1, tau2, t_w). An explicit dt is at most
     0.1 min(tau1, tau2), where the error measured below 1e-6 (v_set tau1 + |v0|).
     """
     _require_matching_width(config, code)
@@ -243,10 +243,6 @@ def simulate_leaky_numeric(
     if dt is None:
         dt = 0.01 * min(leak.tau1, config.tau2, config.t_w)
     dt = _positive("dt", dt)
-    if dt > config.t_w / 16.0:
-        raise ValueError(
-            "dt must be at most t_w / 16 so slot boundaries are resolved"
-        )
     if dt > 0.1 * min(leak.tau1, config.tau2):
         raise ValueError("dt must be at most 0.1 * min(tau1, tau2) for RK4 to be accurate")
 

@@ -29,6 +29,7 @@ from tdacsim import (
     transfer_curve,
 )
 from tdacsim.analysis import _CALIBRATION_REL_TOL, _INV_PHI
+from tdacsim.core import _slot_quadratures, code_sums
 
 
 # --- transfer_curve ---------------------------------------------------------
@@ -101,6 +102,22 @@ def test_curves_make_no_per_code_calls(per_code_calls):
     transfer_curve(TdacConfig(q=12, t_w=0.6))
     calibrate_pulse_width(1.0, 8, (0.3, 1.2))
     assert sum(per_code_calls.values()) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.floats(-3.0, 3.0), st.floats(0.05, 3.0), st.floats(-3.0, 3.0))
+def test_curves_scale_exactly_by_powers_of_two(q, log_tau2, ratio, log_v_set):
+    # a slot's weight depends on t_w / tau2 and v_set tau2 only, and a power
+    # of two scales a float exactly: doubling t_w and tau2 while halving v_set
+    # leaves every output as it was, and doubling v_set doubles it
+    def curves(t_w, tau2, v_set):
+        cfg = TdacConfig(q=q, t_w=t_w, tau2=tau2, v_set=v_set)
+        return np.append(transfer_curve(cfg).outputs, code_sums(_slot_quadratures(cfg, 16)))
+
+    tau2, v_set = 10.0**log_tau2, 10.0**log_v_set
+    base = curves(ratio * tau2, tau2, v_set)
+    assert np.array_equal(curves(2.0 * ratio * tau2, 2.0 * tau2, 0.5 * v_set), base)
+    assert np.array_equal(curves(ratio * tau2, tau2, 2.0 * v_set), 2.0 * base)
 
 
 # --- linearity_report -------------------------------------------------------

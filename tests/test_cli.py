@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -28,12 +29,14 @@ from hypothesis import strategies as st
 from tdacsim import (
     LN2,
     DigitalCode,
+    LeakConfig,
     TdacConfig,
     alpha_waveform,
     cli,
     convert_quadrature,
     core,
     dual_exp_waveform,
+    leaky_voltage,
 )
 from tdacsim.cli import main
 
@@ -263,6 +266,20 @@ def test_waveform_numeric_errors_exit_1(argv, message, tmp_path, capsys):
     assert run_cli(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_waveform_numeric_step_may_span_slots(tmp_path):
+    # dt is half a slot: each drive stretch gets its own steps, so the rows
+    # stay within RK4's accuracy bound of the exact response
+    argv = ["waveform", "--code", "1101", "--tw", 0.1, "--engine", "numeric", "--dt", 0.05,
+            "--out", tmp_path]
+    assert run_cli(argv) == 0
+    _, rows = read_rows(tmp_path / "waveform.csv")
+    t, v = np.array([row.split(",") for row in rows], dtype=float).T
+    exact = leaky_voltage(TdacConfig(q=4, t_w=0.1), LeakConfig(tau1=1.0),
+                          DigitalCode.from_string("1101"), t)
+    assert len(rows) == 210
+    assert np.max(np.abs(v - exact)) <= 1e-6
 
 
 def test_waveform_peak_falls_back_to_sample_maximum(tmp_path, capsys):
@@ -670,6 +687,23 @@ def test_readme_parameter_table_mirrors_params():
     got = [(k.strip(), f.strip(), c.strip(), d.strip().startswith("required"))
            for k, f, c, d in rows]
     assert got == expected
+
+
+def _readme_block(heading, fence):
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {heading}\n\n{fence}\n")[1].split("```\n")[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the quick start, then each command line in order: fit reads the
+    # waveform.csv that the line before it wrote
+    monkeypatch.chdir(tmp_path)
+    exec(_readme_block("Library quick start", "```python"), {})
+    for line in _readme_block("Command line", "```").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "tdac"
+        assert run_cli(argv[1:]) == 0, line
+    assert capsys.readouterr().err == ""
 
 
 # --- reproduce content -------------------------------------------------------

@@ -262,14 +262,14 @@ def _log_uniform(lo, hi):
 )
 def test_slot_quadratures_equal_the_per_slot_rule(q, steps_per_slot, tau2, ratio, v_set):
     cfg = TdacConfig(q=q, t_w=ratio * tau2, tau2=tau2, v_set=v_set)
-    got = core._slot_quadratures.__wrapped__(cfg, steps_per_slot)
+    got = core._slot_quadratures(cfg, steps_per_slot)
     assert got == _per_slot_quadratures(cfg, steps_per_slot)
 
 
 @pytest.mark.parametrize("q", [1, 8, 16])
 def test_slot_quadratures_make_one_exp_call(exp_calls, q):
     cfg = TdacConfig(q=q, t_w=0.37, tau2=1.3)
-    assert len(core._slot_quadratures.__wrapped__(cfg, 33)) == q
+    assert len(core._slot_quadratures(cfg, 33)) == q
     assert exp_calls["exp"] == 1
 
 

@@ -22,6 +22,7 @@ from tdacsim import (
     core,
     dual_exp_waveform,
     leaky_voltage,
+    linearity_report,
     ode,
     peak_of,
     simulate_leaky,
@@ -358,6 +359,25 @@ def test_drive_starts_past_the_float_range_are_dropped(code):
     _assert_tiles(spans, 1.495e308)
 
 
+# with lam = 1/tau1 - 1/tau2, slot k (MSB first) adds to every readout at or
+# after the window in proportion to e^{lam k t_w}, so the readout is exactly
+# binary at t_w = ln 2 / (1/tau2 - 1/tau1), which needs tau1 > tau2
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.tuples(st.floats(-3.0, 3.0), st.floats(1.05, 100.0)).map(
+    lambda p: (10.0 ** p[0] * p[1], 10.0 ** p[0])))
+@example((1.0, 0.5))
+@example((5.0, 1.0))
+@example((2.0, 1.9))
+@example((100.0, 1.0))
+def test_leaky_readout_is_binary_at_its_ln2_width(taus):
+    tau1, tau2 = taus
+    cfg = TdacConfig(q=8, t_w=LN2 / (1.0 / tau2 - 1.0 / tau1), tau2=tau2)
+    leak = LeakConfig(tau1=tau1)
+    readouts = [leaky_voltage(cfg, leak, DigitalCode.from_int(c, 8), [8 * cfg.t_w])[0]
+                for c in range(256)]
+    assert linearity_report(readouts).max_abs_inl <= 1e-11
+
+
 # --- the array path, pinned bit for bit -------------------------------------
 
 def _unique_merge(config, t_end, dt_out):
@@ -486,10 +506,32 @@ def test_numeric_pure_decay_accuracy():
     assert np.max(np.abs(wf.values - np.exp(-wf.times))) < 1e-8
 
 
-def test_numeric_rejects_coarse_step():
-    cfg = TdacConfig(q=4, t_w=0.1, tau2=1.0)
-    with pytest.raises(ValueError):
-        simulate_leaky_numeric(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4), 1.0, 0.05)
+@st.composite
+def _coarse_step_cases(draw):
+    # a step past t_w / 16, even past t_w, but inside 0.1 min(tau1, tau2): each
+    # stretch is split into its own steps, so no step straddles a slot edge.
+    # t_end stays within 60 steps past the window, so each run is short
+    tau1, tau2 = draw(_LOG_TAU), draw(_LOG_TAU)
+    dt = draw(st.floats(0.05, 1.0)) * 0.1 * min(tau1, tau2)
+    q = draw(st.integers(1, 12))
+    cfg = TdacConfig(q=q, t_w=draw(st.floats(0.01, 0.99)) * 16.0 * dt, tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    v0 = draw(st.just(0.0) | st.floats(-10.0, 10.0))
+    code = DigitalCode.from_int(draw(st.integers(0, (1 << q) - 1)), q)
+    t_end = q * cfg.t_w + draw(st.floats(0.0, 60.0)) * dt
+    return cfg, LeakConfig(tau1=tau1, v0=v0), code, t_end, dt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_coarse_step_cases())
+@example((TdacConfig(q=4, t_w=0.1, tau2=1.0), LeakConfig(tau1=1.0),
+          DigitalCode.from_int(5, 4), 1.0, 0.05))
+def test_numeric_accepts_steps_past_a_sixteenth_slot(case):
+    cfg, leak, code, t_end, dt = case
+    assert cfg.t_w / 16.0 < dt <= 0.1 * min(leak.tau1, cfg.tau2)
+    wf = simulate_leaky_numeric(cfg, leak, code, t_end, dt)
+    exact = leaky_voltage(cfg, leak, code, wf.times)
+    assert np.max(np.abs(wf.values - exact)) <= 1e-6 * (cfg.v_set * leak.tau1 + abs(leak.v0))
 
 
 def test_numeric_refuses_steps_past_its_accuracy_bound():
