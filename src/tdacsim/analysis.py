@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,8 +287,9 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     ``"dual-exponential"``. Damped Gauss-Newton iterations with analytic
     Jacobians do the work; if the damping stalls three times in a row, a
     zooming log-grid search over the time constants (amplitude solved
-    linearly) reseeds a final polish. Non-convergence is reported through
-    the result, not raised.
+    linearly) reseeds a final polish. A waveform whose minimum is further
+    from 0 than its maximum is fitted as its mirror image, with v_set_fit
+    negated. Non-convergence is reported through the result, not raised.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected alpha or dual")
@@ -298,9 +299,18 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     t = waveform.times
     v = waveform.values
     v_peak = float(np.max(v))
-    if v_peak <= float(np.min(v)):
+    v_min = float(np.min(v))
+    if v_peak <= v_min:
         raise ValueError("degenerate input: waveform is flat")
-    sse_floor = 1e-12 * v_peak**2
+    if -v_min > v_peak:
+        # a negative waveform (a signed converter's negative code) is fitted as
+        # its mirror image
+        mirror = fit_waveform(Waveform(t, -v), model, max_iterations)
+        return replace(mirror, v_set_fit=-mirror.v_set_fit)
+    try:
+        sse_floor = 1e-12 * v_peak**2
+    except OverflowError:
+        raise ValueError("waveform peak squared overflows a float (|v| above about 1e154)") from None
 
     theta0 = initial(waveform)
     theta, sse, iters, converged, stalled = _damped_least_squares(

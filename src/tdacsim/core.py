@@ -35,7 +35,7 @@ class DigitalCode:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("a digital code needs at least one bit")
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(map(bool, self.bits)))
 
     @classmethod
     def from_int(cls, value: int, q: int) -> "DigitalCode":
@@ -52,7 +52,7 @@ class DigitalCode:
         """Parse an MSB-first binary string such as ``"10101010"``."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a binary code string: {text!r}")
-        return cls(tuple(c == "1" for c in reversed(text)))
+        return cls([c == "1" for c in reversed(text)])
 
     @property
     def q(self) -> int:

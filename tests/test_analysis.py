@@ -1,5 +1,6 @@
 """Transfer-curve metrics, shape fitting, and pulse-width calibration."""
 
+import dataclasses
 import math
 import sys
 
@@ -325,6 +326,42 @@ def test_fit_identifiability(amp, tau1):
     result = fit_waveform(wf, "dual")
     assert result.tau1_fit == pytest.approx(tau1, rel=1e-4)
     assert result.tau2_fit == pytest.approx(tau2, rel=1e-4)
+
+
+@st.composite
+def _sparse_shapes(draw):
+    # 8 to 60 distinct random times on (0, 1] of a dual-exponential shape, as
+    # a sampled trace would give; negated, such traces used to collapse the fit
+    # or drive its Jacobian into overflow at huge trial time constants
+    times = draw(st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=60, unique=True))
+    t = np.array(sorted(times))
+    amp = draw(st.floats(0.1, 10.0))
+    tau1 = draw(st.floats(0.5, 2.0))
+    tau2 = tau1 * draw(st.floats(0.1, 0.8))
+    return Waveform(t, dual_exp_waveform(amp, tau1, tau2, t))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sparse_shapes(), st.sampled_from(["alpha", "dual"]))
+def test_fit_of_a_negative_waveform_is_the_negated_fit(wf, model):
+    fit = fit_waveform(wf, model)
+    mirror = fit_waveform(Waveform(wf.times, -wf.values), model)
+    assert repr(mirror) == repr(dataclasses.replace(fit, v_set_fit=-fit.v_set_fit))
+
+
+@pytest.mark.parametrize("model", ["alpha", "dual"])
+def test_fit_of_a_negative_tdac_waveform_converges(model):
+    # a signed converter's negative code: its maximum is about 0 at t = 0
+    wf = _tdac_waveform("01111111", tau1=0.9)
+    fit = fit_waveform(Waveform(wf.times, -wf.values), model)
+    assert fit.converged and fit.v_set_fit < 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fit_of_a_huge_waveform_is_one_line_value_error(sign):
+    wf = _sampled(lambda t: sign * 1e200 * alpha_waveform(1.0, 1.0, t))
+    with pytest.raises(ValueError, match=r"^waveform peak squared overflows a float"):
+        fit_waveform(wf, "alpha")
 
 
 # Reference for the reseed: the two per-model grid searches it replaced, kept

@@ -441,6 +441,16 @@ def test_fit_missing_input_file_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model", ["alpha", "dual"])
+def test_fit_of_a_huge_waveform_is_one_line_exit_1(model, tmp_path, capsys):
+    # the sse floor squares the peak; past about 1e154 that overflows
+    t = np.linspace(0.0, 8.0, 40)
+    _write_csv(tmp_path / "huge.csv", t, -1e200 * alpha_waveform(1.0, 1.0, t))
+    assert run_cli(["fit", "--input", tmp_path / "huge.csv", "--model", model]) == 1
+    assert capsys.readouterr().err == (
+        "error: waveform peak squared overflows a float (|v| above about 1e154)\n")
+
+
 def test_fit_non_converged_exits_3(tmp_path, capsys):
     t = np.linspace(0.0, 8.0, 200)
     v = alpha_waveform(1.0, 1.0, t) + 0.05 * np.sin(40.0 * t)
@@ -1029,6 +1039,7 @@ FLAG_RUNS = {
     "fit-dual": (0, ["fit", "--input", "{tmp}/dual.csv", "--model", "dual"]),
     "fit-exit-3": (3, ["fit", "--input", "{tmp}/wobble.csv", "--model", "alpha",
                        "--max-iterations", 1]),
+    "fit-negative": (0, ["fit", "--input", "{tmp}/fig7/fig7_code_01111111.csv", "--model", "dual"]),
     "calibrate": (0, ["calibrate", "--tau2", 2.0, "--q", 6, "--lo", 0.6, "--hi", 2.4]),
 }
 
@@ -1038,6 +1049,9 @@ def write_fit_inputs(directory):
     _write_csv(directory / "dual.csv", t, dual_exp_waveform(1.0, 1.0, 0.25, t))
     t = np.linspace(0.0, 8.0, 200)
     _write_csv(directory / "wobble.csv", t, alpha_waveform(1.0, 1.0, t) + 0.05 * np.sin(40.0 * t))
+    # the signed converter's negative codes, as tdac writes them
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["reproduce", "fig7-shape", "--out", directory / "fig7"]) == 0
 
 
 def output_digests(case, out_dir):

@@ -646,6 +646,30 @@ def test_output_is_finite_for_any_time_constants(case):
     assert np.isfinite(wf.values).all()
 
 
+@st.composite
+def _readout_cases(draw):
+    q = draw(st.integers(1, 16))
+    tau2 = draw(_LOG_TAU)
+    cfg = TdacConfig(q=q, t_w=draw(st.floats(0.05, 2.0)) * tau2, tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    tau1 = tau2 * 10.0 ** draw(st.floats(-3.0, 12.0))
+    return cfg, tau1, DigitalCode.from_int(draw(st.integers(1, (1 << q) - 1)), q)
+
+
+# with v0 = 0 the readout at the end of the window is the leak-free output
+# with each drive instant s weighted by the leak kernel exp(-(q t_w - s) / tau1),
+# which lies between exp(-q t_w / tau1) and 1: the two exact engines bound
+# each other for every leak
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_readout_cases())
+def test_leaky_readout_lies_within_the_leak_bounds_of_the_leak_free_output(case):
+    cfg, tau1, code = case
+    c = core.convert_closed_form(cfg, code)
+    v = leaky_voltage(cfg, LeakConfig(tau1=tau1), code, [cfg.q * cfg.t_w])[0]
+    slack = 4.0 * np.finfo(float).eps
+    assert math.exp(-cfg.q * cfg.t_w / tau1) * c * (1.0 - slack) <= v <= c * (1.0 + slack)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_window_and_steps_must_be_positive(bad):
     cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
@@ -738,6 +762,99 @@ def test_numeric_fourth_order_convergence():
         ana = leaky_voltage(cfg, leak, code, num.times)
         errs.append(np.max(np.abs(num.values - ana)))
     assert 12.0 < errs[0] / errs[1] < 20.0
+
+
+def _rk4_per_step(config, leak, code, t_end, dt):
+    # the former step loop of simulate_leaky_numeric: every step works out its
+    # own ends, width and drive as scalars
+    starts, ends, gates = ode._drive_intervals(config, code, t_end)
+    tau1, tau2, v_set = leak.tau1, config.tau2, config.v_set
+    times = [0.0]
+    values = [leak.v0]
+    v = leak.v0
+    for a, b, on in zip(starts.tolist(), ends.tolist(), gates.tolist()):
+        n = max(1, math.ceil((b - a) / dt))
+        h = (b - a) / n
+        f_lo = v_set * math.exp(-a / tau2) if on else 0.0
+        for j in range(1, n + 1):
+            t0 = a + (j - 1) * h
+            t1 = b if j == n else a + j * h
+            hj = t1 - t0
+            if on:
+                f_mid = v_set * math.exp(-(t0 + 0.5 * hj) / tau2)
+                f_hi = v_set * math.exp(-t1 / tau2)
+            else:
+                f_mid = 0.0
+                f_hi = 0.0
+            k1 = -v / tau1 + f_lo
+            k2 = -(v + 0.5 * hj * k1) / tau1 + f_mid
+            k3 = -(v + 0.5 * hj * k2) / tau1 + f_mid
+            k4 = -(v + hj * k3) / tau1 + f_hi
+            v = v + hj / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            times.append(t1)
+            values.append(v)
+            f_lo = f_hi
+    return np.array(times).tobytes(), np.array(values).tobytes()
+
+
+def _assert_rk4_is_the_per_step_loop(cfg, leak, code, t_end, dt):
+    wf = simulate_leaky_numeric(cfg, leak, code, t_end, dt)
+    if t_end is None:
+        t_end = ode.default_t_end(cfg, leak)
+    if dt is None:
+        dt = 0.01 * min(leak.tau1, cfg.tau2, cfg.t_w)
+    assert (wf.times.tobytes(), wf.values.tobytes()) == _rk4_per_step(cfg, leak, code, t_end, dt)
+    return len(wf) - 1
+
+
+_RK4_STEP_CAP = 5000
+
+
+@st.composite
+def _rk4_cases(draw):
+    # the window ends before the first slot edge, inside a stretch, on a slot
+    # edge or past the conversion window; alternating codes give many short
+    # stretches. A window is cut to _RK4_STEP_CAP steps, so each run is short
+    q = draw(st.integers(1, 12))
+    pattern = draw(st.sampled_from(["random", "10", "01"]))
+    if pattern == "random":
+        code = DigitalCode.from_int(draw(st.integers(0, (1 << q) - 1)), q)
+    else:
+        code = DigitalCode.from_string((pattern * q)[:q])
+    tau2 = draw(_LOG_TAU)
+    tau1 = tau2 * draw(_LOG_TAU)
+    cfg = TdacConfig(q=q, t_w=tau2 * draw(st.floats(0.05, 2.0)), tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    v0 = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+    leak = LeakConfig(tau1=tau1, v0=v0)
+    frac = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    k = draw(st.integers(0, q - 1))
+    t_end = draw(st.sampled_from([frac, k + frac, k + 1.0, q * (1.0 + frac)])) * cfg.t_w
+    dt = draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * 0.1 * min(tau1, tau2)))
+    step = 0.01 * min(tau1, tau2, cfg.t_w) if dt is None else dt
+    return cfg, leak, code, min(t_end, _RK4_STEP_CAP * step), dt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rk4_cases())
+def test_numeric_is_the_per_step_loop_bit_for_bit(case):
+    _assert_rk4_is_the_per_step_loop(*case)
+
+
+@pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("code", ["1", "0", "100", "011"])
+@pytest.mark.parametrize("v0", [0.0, -0.0, 0.3])
+def test_numeric_block_edges_are_the_per_step_loop(steps, code, v0):
+    # one slot of `steps` steps, or two stretches [0, 1] and [1, t_end]: past
+    # 1,024 steps the first takes 1,024, so that a block edge falls on the
+    # stretch edge
+    cfg = TdacConfig(q=len(code), t_w=1.0)
+    leak = LeakConfig(tau1=2.0, v0=v0)
+    first = steps if cfg.q == 1 else 1024 if steps > 1024 else steps - steps // 2
+    dt = 1.0 / (first - 0.5)
+    t_end = 1.0 if cfg.q == 1 else 1.0 + (steps - first - 0.5) * dt
+    total = _assert_rk4_is_the_per_step_loop(cfg, leak, DigitalCode.from_string(code), t_end, dt)
+    assert total == steps
 
 
 # --- alpha / dual shapes ---------------------------------------------------
