@@ -155,14 +155,12 @@ def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
     iterations = 0
     consecutive_fails = 0
     converged = sse == 0.0
-    for _ in range(max_iterations):
-        if converged:
-            break
+    while not converged and iterations < max_iterations and consecutive_fails < 3:
         iterations += 1
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.clip(np.diag(jtj), 1e-300, None)
-        improved = False
+        consecutive_fails += 1
         for _ in range(12):
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
@@ -183,17 +181,10 @@ def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
                 d_sse = sse - sse_t
                 theta, f, jac, r, sse = trial, f_t, jac_t, r_t, sse_t
                 lam = max(lam / 3.0, 1e-12)
-                improved = True
-                if rel_step < 1e-9 or d_sse < sse_floor or sse == 0.0:
-                    converged = True
+                consecutive_fails = 0
+                converged = rel_step < 1e-9 or d_sse < sse_floor or sse == 0.0
                 break
             lam *= 4.0
-        if improved:
-            consecutive_fails = 0
-        else:
-            consecutive_fails += 1
-            if consecutive_fails >= 3:
-                break
     return theta, sse, iterations, converged, consecutive_fails >= 3
 
 
@@ -230,32 +221,23 @@ def _dual_peak_time(tau1, tau2):
     return tau1 * tau2 / (tau1 - tau2) * math.log(tau1 / tau2)
 
 
-def _initial_alpha(waveform):
-    t_peak, v_peak = peak_of(waveform)
-    tau1 = max(t_peak, 1e-12)
-    return np.array([v_peak / (tau1 * math.exp(-1.0)), tau1])
+def _initial_alpha(t, v, t_peak, v_peak):
+    return np.array([v_peak / (t_peak * math.exp(-1.0)), t_peak])
 
 
-def _initial_dual(waveform):
-    t = waveform.times
-    v = waveform.values
-    t_peak, v_peak = peak_of(waveform)
-    t_peak = max(t_peak, 1e-12)
-
+def _initial_dual(t, v, t_peak, v_peak):
     # slow constant from the late-time log-slope of the decay
     tail = (t > 2.0 * t_peak) & (v > max(1e-3 * v_peak, 0.0))
-    tau1 = None
-    if int(np.count_nonzero(tail)) >= 4:
+    tau1 = 2.0 * t_peak
+    if np.count_nonzero(tail) >= 4:
         slope = np.polyfit(t[tail], np.log(v[tail]), 1)[0]
-        if slope < 0.0:
+        if slope < 0.0 and math.isfinite(-1.0 / slope):
             tau1 = -1.0 / slope
-    if tau1 is None or not math.isfinite(tau1):
-        tau1 = 2.0 * t_peak
     tau1 = max(tau1, 1.05 * t_peak)
 
     # fast constant from the peak-time relation, by bisection in (0, tau1)
     lo, hi = 1e-6 * tau1, (1.0 - 1e-6) * tau1
-    tau2 = None
+    tau2 = tau1 / 3.0
     if _dual_peak_time(tau1, lo) < t_peak < _dual_peak_time(tau1, hi):
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -264,8 +246,6 @@ def _initial_dual(waveform):
             else:
                 hi = mid
         tau2 = 0.5 * (lo + hi)
-    if tau2 is None:
-        tau2 = tau1 / 3.0
 
     c = tau1 * tau2 / (tau1 - tau2)
     shape_peak = c * (math.exp(-t_peak / tau1) - math.exp(-t_peak / tau2))
@@ -285,40 +265,46 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
 
     ``model`` is ``"alpha"`` or ``"dual"``; the result names the second
     ``"dual-exponential"``. Damped Gauss-Newton iterations with analytic
-    Jacobians do the work; if the damping stalls three times in a row, a
-    zooming log-grid search over the time constants (amplitude solved
-    linearly) reseeds a final polish. A waveform whose minimum is further
-    from 0 than its maximum is fitted as its mirror image, with v_set_fit
-    negated. Non-convergence is reported through the result, not raised.
+    Jacobians, at most ``max_iterations`` (an int >= 0) in all, start from
+    one refined peak; if the damping stalls three times in a row, a zooming
+    log-grid search over the time constants around the same peak time
+    (amplitude solved linearly) reseeds a final polish. A waveform whose
+    minimum is further from 0 than its maximum is fitted as its mirror
+    image, with v_set_fit negated. Non-convergence is reported through the
+    result, not raised.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected alpha or dual")
     name, model_fn, initial, points = _MODELS[model]
+    max_iterations = operator.index(max_iterations)
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     if len(waveform) < 8:
         raise ValueError("need at least 8 samples spanning the peak")
     t = waveform.times
     v = waveform.values
-    v_peak = float(np.max(v))
+    v_max = float(np.max(v))
     v_min = float(np.min(v))
-    if v_peak <= v_min:
+    if v_max <= v_min:
         raise ValueError("degenerate input: waveform is flat")
-    if -v_min > v_peak:
+    if -v_min > v_max:
         # a negative waveform (a signed converter's negative code) is fitted as
         # its mirror image
         mirror = fit_waveform(Waveform(t, -v), model, max_iterations)
         return replace(mirror, v_set_fit=-mirror.v_set_fit)
     try:
-        sse_floor = 1e-12 * v_peak**2
+        sse_floor = 1e-12 * v_max**2
     except OverflowError:
         raise ValueError("waveform peak squared overflows a float (|v| above about 1e154)") from None
 
-    theta0 = initial(waveform)
+    t_peak, v_peak = peak_of(waveform)
+    t_peak = max(t_peak, 1e-12)
+    theta0 = initial(t, v, t_peak, v_peak)
     theta, sse, iters, converged, stalled = _damped_least_squares(
         model_fn, theta0, t, v, max_iterations, sse_floor
     )
     if stalled and iters < max_iterations:
-        t_peak, _ = peak_of(waveform)
-        seed = _grid_seed(model_fn, theta0.size - 1, points, t, v, max(t_peak, 1e-12))
+        seed = _grid_seed(model_fn, theta0.size - 1, points, t, v, t_peak)
         theta2, sse2, iters2, converged2, _ = _damped_least_squares(
             model_fn, seed, t, v, max_iterations - iters, sse_floor
         )

@@ -176,7 +176,6 @@ def _read_waveform_csv(path) -> Waveform:
         raise ValueError("line 1: expected header 't,v'")
     times: list[float] = []
     values: list[float] = []
-    prev = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -189,14 +188,13 @@ def _read_waveform_csv(path) -> Waveform:
             raise ValueError(f"line {lineno}: non-numeric row {line!r}") from None
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ValueError(f"line {lineno}: non-finite value")
-        if prev is not None and t <= prev:
+        if times and t <= times[-1]:
             raise ValueError(f"line {lineno}: time values must be strictly increasing")
-        prev = t
         times.append(t)
         values.append(v)
     if not times:
         raise ValueError("line 2: no data rows")
-    return Waveform(np.array(times), np.array(values))
+    return Waveform(times, values)
 
 
 def _run_fit(params):

@@ -88,3 +88,15 @@ def reseed_calls(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, analysis, "_grid_seed")
     return counts
+
+
+@pytest.fixture
+def peak_calls(monkeypatch):
+    """Count the ``peak_of`` calls of the fits a test makes.
+
+    A fit takes one refined peak for its initial guess and its reseed, so a
+    fit that calls ``peak_of`` again has gone back to a peak per use.
+    """
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ode, "peak_of")
+    return counts

@@ -1,8 +1,11 @@
 """Transfer-curve metrics, shape fitting, and pulse-width calibration."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import sys
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from tdacsim import (
     dual_exp_waveform,
     fit_waveform,
     linearity_report,
+    peak_of,
     simulate_leaky,
     transfer_curve,
 )
@@ -91,6 +95,12 @@ def test_transfer_curve_rejects_non_finite_outputs(bad):
     outputs[5] = bad
     with pytest.raises(ValueError, match="finite"):
         TransferCurve(outputs)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 16), (2, 2, 2)])
+def test_transfer_curve_rejects_non_flat_outputs(shape):
+    with pytest.raises(ValueError, match="^outputs must be a 1-D array$"):
+        TransferCurve(np.zeros(shape))
 
 
 def test_transfer_curve_rejects_overflowing_outputs():
@@ -314,6 +324,19 @@ def test_fit_result_rejects_non_finite_values(field, bad):
         FitResult(**dict(good, **{field: bad}))
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("tau1_fit", 0.0, "fitted time constants must be positive"),
+    ("tau1_fit", -1.0, "fitted time constants must be positive"),
+    ("tau2_fit", -0.0, "fitted time constants must be positive"),
+    ("sse", -1e-300, "sse cannot be negative"),
+])
+def test_fit_result_rejects_out_of_range_values(field, bad, message):
+    good = dict(model="alpha", v_set_fit=1.0, tau1_fit=1.0, tau2_fit=1.0, sse=0.0,
+                converged=False, iterations=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FitResult(**dict(good, **{field: bad}))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(min_value=0.3, max_value=2.5),
@@ -469,6 +492,259 @@ def test_reseeded_fits_are_pinned(make_waveform, model, expected, reseed_calls):
     result = fit_waveform(make_waveform(), model)
     assert reseed_calls["_grid_seed"] == 1
     assert repr(result) == repr(expected)
+
+
+@pytest.mark.parametrize("make_waveform, model, reseeds", [
+    (lambda: _tdac_waveform("00001110", 1.0, 2.0), "dual", 1),
+    (_exp_decay_waveform, "alpha", 1),
+    (lambda: _sampled(lambda t: dual_exp_waveform(1.0, 1.0, 0.5, t)), "dual", 0),
+    (lambda: _sampled(lambda t: -alpha_waveform(1.0, 1.0, t)), "alpha", 0),
+], ids=["reseeded-tdac", "reseeded-exp-decay", "direct", "mirrored"])
+def test_each_fit_takes_one_peak(make_waveform, model, reseeds, reseed_calls, peak_calls):
+    # the initial guess and the reseed start from the same refined peak
+    fit_waveform(make_waveform(), model)
+    assert reseed_calls["_grid_seed"] == reseeds
+    assert peak_calls["peak_of"] == 1
+
+
+@pytest.mark.parametrize("bad", [-1, -3])
+def test_fit_rejects_a_negative_iteration_limit(bad):
+    with pytest.raises(ValueError, match=r"^max_iterations must be >= 0$"):
+        fit_waveform(_sampled(lambda t: dual_exp_waveform(1.0, 1.0, 0.5, t)), "dual", bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "5"])
+def test_fit_rejects_a_non_integer_iteration_limit(bad):
+    with pytest.raises(TypeError):
+        fit_waveform(_sampled(lambda t: dual_exp_waveform(1.0, 1.0, 0.5, t)), "dual", bad)
+
+
+def test_fit_with_no_iterations_reports_the_seed():
+    wf = _sampled(lambda t: dual_exp_waveform(1.0, 1.0, 0.5, t))
+    result = fit_waveform(wf, "dual", np.int64(0))
+    assert (result.iterations, result.converged) == (0, False)
+
+
+# Reference for the solver and the initial guesses: the loop that tracked its
+# stop with an ``improved`` flag, a counter and two ``break``s, and the guesses
+# that each took their own peak and seeded through ``None``, kept verbatim. The
+# flag-free loop and the guesses from one peak must give the same results, to
+# the last bit.
+
+def _damped_least_squares_reference(model_fn, theta0, t, v, max_iterations, sse_floor):
+    theta = np.asarray(theta0, dtype=float)
+    f, jac = model_fn(theta, t)
+    r = v - f
+    sse = float(r @ r)
+    lam = 1e-3
+    iterations = 0
+    consecutive_fails = 0
+    converged = sse == 0.0
+    for _ in range(max_iterations):
+        if converged:
+            break
+        iterations += 1
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        diag = np.clip(np.diag(jtj), 1e-300, None)
+        improved = False
+        for _ in range(12):
+            try:
+                delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            trial = theta + delta
+            if not analysis._theta_ok(trial):
+                lam *= 4.0
+                continue
+            f_t, jac_t = model_fn(trial, t)
+            r_t = v - f_t
+            sse_t = float(r_t @ r_t)
+            if sse_t < sse:
+                rel_step = float(
+                    np.max(np.abs(delta) / np.maximum(np.abs(theta), 1e-300))
+                )
+                d_sse = sse - sse_t
+                theta, f, jac, r, sse = trial, f_t, jac_t, r_t, sse_t
+                lam = max(lam / 3.0, 1e-12)
+                improved = True
+                if rel_step < 1e-9 or d_sse < sse_floor or sse == 0.0:
+                    converged = True
+                break
+            lam *= 4.0
+        if improved:
+            consecutive_fails = 0
+        else:
+            consecutive_fails += 1
+            if consecutive_fails >= 3:
+                break
+    return theta, sse, iterations, converged, consecutive_fails >= 3
+
+
+def _initial_alpha_reference(waveform):
+    t_peak, v_peak = peak_of(waveform)
+    tau1 = max(t_peak, 1e-12)
+    return np.array([v_peak / (tau1 * math.exp(-1.0)), tau1])
+
+
+def _initial_dual_reference(waveform):
+    t = waveform.times
+    v = waveform.values
+    t_peak, v_peak = peak_of(waveform)
+    t_peak = max(t_peak, 1e-12)
+
+    # slow constant from the late-time log-slope of the decay
+    tail = (t > 2.0 * t_peak) & (v > max(1e-3 * v_peak, 0.0))
+    tau1 = None
+    if int(np.count_nonzero(tail)) >= 4:
+        slope = np.polyfit(t[tail], np.log(v[tail]), 1)[0]
+        if slope < 0.0:
+            tau1 = -1.0 / slope
+    if tau1 is None or not math.isfinite(tau1):
+        tau1 = 2.0 * t_peak
+    tau1 = max(tau1, 1.05 * t_peak)
+
+    # fast constant from the peak-time relation, by bisection in (0, tau1)
+    lo, hi = 1e-6 * tau1, (1.0 - 1e-6) * tau1
+    tau2 = None
+    if analysis._dual_peak_time(tau1, lo) < t_peak < analysis._dual_peak_time(tau1, hi):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if analysis._dual_peak_time(tau1, mid) < t_peak:
+                lo = mid
+            else:
+                hi = mid
+        tau2 = 0.5 * (lo + hi)
+    if tau2 is None:
+        tau2 = tau1 / 3.0
+
+    c = tau1 * tau2 / (tau1 - tau2)
+    shape_peak = c * (math.exp(-t_peak / tau1) - math.exp(-t_peak / tau2))
+    amp = v_peak / shape_peak if shape_peak > 0.0 else v_peak
+    return np.array([amp, tau1, tau2])
+
+
+_REFERENCE_SEEDS = {"alpha": _initial_alpha_reference, "dual": _initial_dual_reference}
+
+
+def _library_seed(waveform, model):
+    t_peak, v_peak = peak_of(waveform)
+    initial = analysis._MODELS[model][2]
+    return initial(waveform.times, waveform.values, max(t_peak, 1e-12), v_peak)
+
+
+@st.composite
+def _seed_waveforms(draw):
+    # shapes whose window may end before four tail samples, exponential decays
+    # whose peak at t = 0 lies below the bisection bracket, bumps followed by a
+    # slow rise (a tail slope >= 0), TDAC responses and sparse noisy samplings
+    kind = draw(st.sampled_from(["shape", "decay", "rebound", "tdac", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tau1 = 10.0 ** draw(st.floats(-1.0, 1.0))
+    if kind == "tdac":
+        code = DigitalCode.from_int(draw(st.integers(1, 255)), 8)
+        tau2 = draw(st.sampled_from([0.5, 1.0]))
+        cfg = TdacConfig(q=8, t_w=LN2 * tau2, tau2=tau2)
+        return simulate_leaky(cfg, LeakConfig(tau1=tau1), code)
+    if kind == "sparse":
+        t = np.unique(rng.uniform(1e-3, 3.0 * tau1, draw(st.integers(8, 60))))
+        v = dual_exp_waveform(1.0, tau1, tau1 * draw(st.floats(0.1, 0.8)), t)
+        return Waveform(t, v + rng.normal(scale=0.01 * float(np.max(v)), size=t.size))
+    t = np.linspace(0.0, tau1 * 10.0 ** draw(st.floats(-0.3, 1.3)), draw(st.integers(8, 300)))
+    if kind == "decay":
+        return Waveform(t, np.exp(-t / tau1) + 1e-3 * rng.normal(size=t.size))
+    v = dual_exp_waveform(1.0, tau1, tau1 * draw(st.floats(0.05, 0.9)), t)
+    if kind == "rebound":
+        v = v + 0.5 * float(np.max(v)) * (t / t[-1]) ** 2
+    return Waveform(t, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_seed_waveforms(), st.sampled_from(["alpha", "dual"]))
+# three samples past 2 t_peak; a peak at t = 0; a tail that rises again
+@example(_sampled(lambda t: dual_exp_waveform(1.0, 1.0, 0.5, t), 1.5, 40), "dual")
+@example(_exp_decay_waveform(), "dual")
+@example(_sampled(lambda t: alpha_waveform(1.0, 0.2, t) + 0.015 * t**2, 2.2, 80), "dual")
+def test_initial_guesses_equal_the_reference(wf, model):
+    assert _library_seed(wf, model).tobytes() == _REFERENCE_SEEDS[model](wf).tobytes()
+
+
+@contextlib.contextmanager
+def _solve_fails_once(failure, at, theta0):
+    # the at-th np.linalg.solve call raises LinAlgError, returns a NaN step or
+    # returns the step from theta0 onto the tau1 == tau2 ridge
+    calls = itertools.count()
+    solve = np.linalg.solve
+
+    def patched(a, b):
+        if next(calls) != at:
+            return solve(a, b)
+        if failure == "raise":
+            raise np.linalg.LinAlgError("singular matrix")
+        if failure == "nan":
+            return np.full_like(b, math.nan)
+        return np.array([0.0, 0.0, theta0[1] - theta0[2]])
+
+    with unittest.mock.patch.object(np.linalg, "solve", patched if failure else solve):
+        yield
+
+
+def _outcome(solver, *args):
+    # an overflow in the model is a RuntimeWarning raised as an error here, and
+    # must come from the same step on both sides
+    try:
+        theta, sse, iterations, converged, stalled = solver(*args)
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return theta.tobytes(), repr(sse), iterations, converged, stalled
+
+
+@st.composite
+def _solver_cases(draw):
+    wf = draw(_seed_waveforms())
+    model = draw(st.sampled_from(["alpha", "dual"]))
+    theta0 = _library_seed(wf, model)
+    dual = model == "dual"
+    start = draw(st.sampled_from(["seed", "near", "far", "ridge"][: 3 + dual]))
+    if start == "near":
+        theta0 = theta0 * (1.0 + np.array(draw(st.lists(
+            st.floats(-1e-3, 1e-3), min_size=theta0.size, max_size=theta0.size))))
+    elif start == "far":
+        theta0 = theta0 * 10.0 ** np.array(draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=theta0.size, max_size=theta0.size)))
+    elif start == "ridge":
+        # on tau1 == tau2, where the model divides by zero, or just off it
+        gap = draw(st.sampled_from([0.0, -1e-8, -2e-9, 2e-9, 1e-8]))
+        theta0 = np.array([theta0[0], theta0[1], theta0[1] * (1.0 + gap)])
+    max_iterations = draw(st.sampled_from([0, 1, 2, 3, 5, 200]))
+    # a step onto the ridge is forced from theta0, so only on the first call
+    failure = draw(st.sampled_from([None, None, "raise", "nan", "ridge"][: 4 + dual]))
+    at = 0 if failure == "ridge" else draw(st.integers(0, 3))
+    return model, theta0, wf, max_iterations, failure, at
+
+
+def _stalling_case(wf, model):
+    # None stands for the library's own initial guess
+    return model, None, wf, 200, None, 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_solver_cases())
+@example(_stalling_case(_tdac_waveform("00001110", 1.0, 2.0), "dual"))
+@example(_stalling_case(_tdac_waveform("00000011", 0.5, 2.0), "dual"))
+@example(_stalling_case(_exp_decay_waveform(), "alpha"))
+def test_solver_equals_the_reference(case):
+    model, theta0, wf, max_iterations, failure, at = case
+    if theta0 is None:
+        theta0 = _library_seed(wf, model)
+    model_fn = analysis._MODELS[model][1]
+    args = (model_fn, theta0, wf.times, wf.values, max_iterations,
+            1e-12 * float(np.max(np.abs(wf.values))) ** 2)
+    with _solve_fails_once(failure, at, theta0):
+        expected = _outcome(_damped_least_squares_reference, *args)
+    with _solve_fails_once(failure, at, theta0):
+        assert _outcome(analysis._damped_least_squares, *args) == expected
 
 
 # --- calibrate_pulse_width ---------------------------------------------------

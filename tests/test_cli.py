@@ -462,6 +462,32 @@ def test_fit_non_converged_exits_3(tmp_path, capsys):
     assert "converged=false" in out  # data still printed
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_fit_negative_max_iterations_is_one_line_exit_1(source, tmp_path, capsys):
+    # it used to exit 3 and print the unfitted seed as iterations=0
+    t = np.linspace(0.0, 8.0, 300)
+    _write_csv(tmp_path / "in.csv", t, dual_exp_waveform(1.0, 1.0, 0.5, t))
+    argv = ["fit", "--input", tmp_path / "in.csv", "--model", "dual", "--max-iterations", -1]
+    if source == "file":
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"experiment=fit\ninput={tmp_path / 'in.csv'}\nmodel=dual\n"
+                       "fit.max_iterations=-1\n")
+        argv = ["--config", cfg]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_iterations must be >= 0\n"
+
+
+def test_fit_with_zero_iterations_reports_the_seed(tmp_path, capsys):
+    t = np.linspace(0.0, 8.0, 300)
+    _write_csv(tmp_path / "in.csv", t, dual_exp_waveform(1.0, 1.0, 0.5, t))
+    assert run_cli(["fit", "--input", tmp_path / "in.csv", "--model", "dual",
+                    "--max-iterations", 0]) == 3
+    out = capsys.readouterr().out
+    assert "converged=false\n" in out and "iterations=0\n" in out
+
+
 def test_fit_reports_convergence_of_the_kept_run(tmp_path, capsys):
     # the first dual run stalls; the reseeded polish converges to a slightly
     # larger sse and is discarded, so its convergence flag must go with it

@@ -181,6 +181,20 @@ def test_leaky_voltage_input_checks():
     assert leaky_voltage(cfg, leak, code, [0.0])[0] == 0.0
 
 
+@pytest.mark.parametrize("times", [[], [[0.0, 0.5]], np.zeros((2, 2))],
+                         ids=["empty", "row", "square"])
+def test_leaky_voltage_needs_one_dimensional_times(times):
+    cfg = TdacConfig(q=2, t_w=0.5, tau2=1.0)
+    with pytest.raises(ValueError, match="^times must be a non-empty 1-D array$"):
+        leaky_voltage(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(3, 2), times)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_leak_config_rejects_non_finite_v0(bad):
+    with pytest.raises(ValueError, match="^v0 must be finite$"):
+        LeakConfig(tau1=1.0, v0=bad)
+
+
 # Reference for the propagator: a scalar loop over spans enumerated bit by
 # bit, one math step per span end and per sample, in the form whose phi
 # argument is never positive. The one-pass propagator must match it to a few
@@ -668,6 +682,50 @@ def test_leaky_readout_lies_within_the_leak_bounds_of_the_leak_free_output(case)
     v = leaky_voltage(cfg, LeakConfig(tau1=tau1), code, [cfg.q * cfg.t_w])[0]
     slack = 4.0 * np.finfo(float).eps
     assert math.exp(-cfg.q * cfg.t_w / tau1) * c * (1.0 - slack) <= v <= c * (1.0 + slack)
+
+
+@st.composite
+def _superposition_cases(draw):
+    q = draw(st.integers(1, 12))
+    tau2 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    cfg = TdacConfig(q=q, t_w=draw(st.floats(0.05, 2.0)) * tau2, tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    leak = LeakConfig(tau1=tau2 * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    return cfg, leak, draw(st.integers(1, (1 << q) - 1))
+
+
+# with v0 = 0 the output is linear in the drive, and a code drives the sum of
+# the slots of its set bits: the merged stretches of the code must give the
+# sum of the responses of its one-bit codes
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_superposition_cases())
+def test_leaky_response_is_the_sum_of_its_one_bit_responses(case):
+    cfg, leak, value = case
+    t = np.union1d(np.linspace(0.0, ode.default_t_end(cfg, leak), 257),
+                   np.arange(cfg.q + 1) * cfg.t_w)
+    v = leaky_voltage(cfg, leak, DigitalCode.from_int(value, cfg.q), t)
+    parts = [leaky_voltage(cfg, leak, DigitalCode.from_int(1 << k, cfg.q), t)
+             for k in range(cfg.q) if value >> k & 1]
+    assert np.max(np.abs(v - sum(parts))) <= 16.0 * np.finfo(float).eps * np.max(np.abs(v))
+
+
+# as tau1 grows the leak kernel exp(-(q t_w - s) / tau1) tends to 1, so the
+# readout tends to the leak-free output from below, within q t_w / tau1 of it
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.floats(0.05, 2.0), _LOG_TAU, st.floats(6.0, 12.0),
+       st.integers(1, (1 << 16) - 1))
+@example(8, LN2, 1.0, 6.0, 255)
+@example(8, LN2, 1.0, 9.0, 255)
+@example(8, LN2, 1.0, 12.0, 255)
+def test_leaky_readout_tends_to_the_leak_free_output(q, ratio, tau2, decades, value):
+    cfg = TdacConfig(q=q, t_w=ratio * tau2, tau2=tau2)
+    code = DigitalCode.from_int(value % (1 << q) or 1, q)
+    tau1 = tau2 * 10.0**decades
+    window = q * cfg.t_w
+    c = core.convert_closed_form(cfg, code)
+    v = leaky_voltage(cfg, LeakConfig(tau1=tau1), code, [window])[0]
+    slack = 4.0 * np.finfo(float).eps
+    assert -slack * c <= c - v <= (window / tau1 + slack) * c
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
