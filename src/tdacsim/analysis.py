@@ -134,15 +134,12 @@ class FitResult:
 
 
 def _theta_ok(theta) -> bool:
-    if not np.all(np.isfinite(theta)):
-        return False
-    taus = theta[1:]
-    if np.any(taus <= 0.0):
+    values = theta.tolist()
+    taus = values[1:]
+    if not all(map(math.isfinite, values)) or min(taus) <= 0.0:
         return False
     # a two-constant model keeps clear of the degenerate tau1 == tau2 ridge
-    if len(theta) == 3 and abs(theta[1] - theta[2]) < 1e-9 * max(theta[1], theta[2]):
-        return False
-    return True
+    return len(taus) == 1 or abs(taus[0] - taus[1]) >= 1e-9 * max(taus)
 
 
 def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
@@ -159,7 +156,7 @@ def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
         iterations += 1
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        diag = np.clip(np.diag(jtj), 1e-300, None)
+        diag = np.maximum(jtj.diagonal(), 1e-300)
         consecutive_fails += 1
         for _ in range(12):
             try:
@@ -175,9 +172,7 @@ def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):
             r_t = v - f_t
             sse_t = float(r_t @ r_t)
             if sse_t < sse:
-                rel_step = float(
-                    np.max(np.abs(delta) / np.maximum(np.abs(theta), 1e-300))
-                )
+                rel_step = float((np.abs(delta) / np.maximum(np.abs(theta), 1e-300)).max())
                 d_sse = sse - sse_t
                 theta, f, jac, r, sse = trial, f_t, jac_t, r_t, sse_t
                 lam = max(lam / 3.0, 1e-12)
@@ -236,11 +231,14 @@ def _initial_dual(t, v, t_peak, v_peak):
     tau1 = max(tau1, 1.05 * t_peak)
 
     # fast constant from the peak-time relation, by bisection in (0, tau1)
+    # until a midpoint equals an end, which leaves the bracket fixed
     lo, hi = 1e-6 * tau1, (1.0 - 1e-6) * tau1
     tau2 = tau1 / 3.0
     if _dual_peak_time(tau1, lo) < t_peak < _dual_peak_time(tau1, hi):
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if _dual_peak_time(tau1, mid) < t_peak:
                 lo = mid
             else:

@@ -64,7 +64,7 @@ class Waveform:
             raise ValueError("times and values must be matching non-empty 1-D arrays")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("waveform times and values must be finite")
-        if not np.all(t[1:] > t[:-1]):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False
@@ -111,14 +111,14 @@ def _drive_intervals(
     ending there, and an empty window is one undriven stretch [0, 0].
     """
     bits = np.fromiter([*reversed(code.bits), False], bool)
-    k = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+    k = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     # a start past the float range is past t_end too
     with np.errstate(over="ignore"):
         starts = k * config.t_w
     n = int(np.searchsorted(starts, t_end))
     if n == 0:
         return np.zeros(1), np.array([t_end]), np.zeros(1, dtype=bool)
-    return starts[:n], np.append(starts[1:n], t_end), bits[k[:n]]
+    return starts[:n], np.concatenate((starts[1:n], [t_end])), bits[k[:n]]
 
 
 def leaky_voltage(
@@ -146,29 +146,33 @@ def leaky_voltage(
     stretch states. Each sample finds its stretch by binary search over the
     stretch ends (a sample on an edge belongs to the later stretch). A value
     past the float range, v_set (t-a) or the sum of state and drive at a
-    sample, raises ``FloatingPointError``.
+    sample, raises ``FloatingPointError``. The inputs are checked once, here.
     """
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("sample times must be finite")
     if t[0] < 0.0:
         raise ValueError("sample times must be >= 0")
-    if np.any(t[1:] < t[:-1]):
+    if (t[1:] < t[:-1]).any():
         raise ValueError("sample times must be sorted")
+    return _leaky_values(config, leak, code, t)
 
+
+def _leaky_values(config: TdacConfig, leak: LeakConfig, code: DigitalCode, t: np.ndarray):
+    # leaky_voltage past its checks: a code of the converter's width, valid times
     starts, ends, gates = _drive_intervals(config, code, float(t[-1]))
     n = starts.size - 1
     # the stretch of each sample; a sample on an edge belongs to the later one
     k = np.searchsorted(ends[:-1], t, side="right")
     # one advance for the ends of all stretches but the last, whose state is
     # never sampled, and for the samples after them
-    idx = np.concatenate([np.arange(n), k])
+    idx = np.concatenate((np.arange(n), k))
     a = starts[idx]
     level = np.where(gates, config.v_set, -0.0)[idx]
-    decay, drive = _advance(a, np.concatenate([ends[:-1], t]) - a, level, leak.tau1, config.tau2)
+    decay, drive = _advance(a, np.concatenate((ends[:-1], t)) - a, level, leak.tau1, config.tau2)
     s = leak.v0
     states = [s]
     for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
@@ -207,7 +211,9 @@ def simulate_leaky(
     Slot boundaries are always sampled so that alternating-code ripple is
     never aliased away. Values come from the exact propagator, not from a
     discretization; after the last slot the output decays as a pure
-    exponential in tau1.
+    exponential in tau1. The times built here are finite, sorted and
+    non-negative, so they skip ``leaky_voltage``'s checks; ``Waveform``
+    checks the result once (an overflowed state reaches it as inf).
     """
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
     dt_out = _positive("dt_out", _default_dt_out(t_end) if dt_out is None else dt_out)
@@ -217,15 +223,17 @@ def simulate_leaky(
     _require_sample_budget(n_grid + 1 + config.q + 2, "t_end / dt_out")
     n_out = int(math.floor(n_grid))
     grid = np.arange(n_out + 1) * dt_out
+    # the slack above can put the last grid point past t_end
+    grid = grid[: np.searchsorted(grid, t_end, side="right")]
     # an edge past the float range is past t_end too, and is dropped
     with np.errstate(over="ignore"):
         edges = np.arange(config.q + 1) * config.t_w
-    times = np.concatenate([grid, edges[edges <= t_end], [t_end]])
+    times = np.concatenate((grid, edges[edges <= t_end], [t_end]))
     # one merge of the three sorted runs; a time in two of them is kept once
     times.sort(kind="stable")
-    times = times[np.append(True, times[1:] != times[:-1]) & (times <= t_end)]
-    values = leaky_voltage(config, leak, code, times)
-    return Waveform(times, values)
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+    _require_matching_width(config, code)
+    return Waveform(times, _leaky_values(config, leak, code, times))
 
 
 def simulate_leaky_numeric(

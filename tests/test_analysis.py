@@ -526,10 +526,53 @@ def test_fit_with_no_iterations_reports_the_seed():
 
 
 # Reference for the solver and the initial guesses: the loop that tracked its
-# stop with an ``improved`` flag, a counter and two ``break``s, and the guesses
-# that each took their own peak and seeded through ``None``, kept verbatim. The
-# flag-free loop and the guesses from one peak must give the same results, to
-# the last bit.
+# stop with an ``improved`` flag, a counter and two ``break``s, with its
+# ``np.clip`` damping diagonal and its array-wise parameter check, and the
+# guesses that each took their own peak and seeded through ``None`` and ran
+# all 80 bisection steps, kept verbatim. The flag-free loop and the guesses
+# from one peak must give the same results, to the last bit.
+
+def _theta_ok_reference(theta) -> bool:
+    if not np.all(np.isfinite(theta)):
+        return False
+    taus = theta[1:]
+    if np.any(taus <= 0.0):
+        return False
+    # a two-constant model keeps clear of the degenerate tau1 == tau2 ridge
+    if len(theta) == 3 and abs(theta[1] - theta[2]) < 1e-9 * max(theta[1], theta[2]):
+        return False
+    return True
+
+
+_THETA_ENTRIES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.0, 1.0])
+    | st.floats(-1e3, 1e3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def _thetas(draw):
+    # two or three entries; a third may sit within a few 1e-9 of the ridge
+    theta = draw(st.lists(_THETA_ENTRIES, min_size=2, max_size=3))
+    if len(theta) == 3 and draw(st.booleans()):
+        gap = draw(st.sampled_from([1e-9, -1e-9]) | st.floats(-3e-9, 3e-9))
+        theta[2] = theta[1] * (1.0 + gap) if draw(st.booleans()) else theta[1] + gap
+    return np.array(theta)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_thetas())
+@example(np.array([1.0, 1.0, 1.0]))
+@example(np.array([1.0, 1.0, 1.0 - 1e-9]))
+@example(np.array([1.0, 1.0, 1.0 + 1e-9]))
+@example(np.array([1.0, 2.0, 2.0 * (1.0 + 1e-9)]))
+@example(np.array([-1.0, 1e-300, 0.0]))
+@example(np.array([math.nan, 1.0]))
+@example(np.array([1.0, -0.0]))
+def test_theta_check_equals_the_reference(theta):
+    assert analysis._theta_ok(theta) is _theta_ok_reference(theta)
+
 
 def _damped_least_squares_reference(model_fn, theta0, t, v, max_iterations, sse_floor):
     theta = np.asarray(theta0, dtype=float)
@@ -555,7 +598,7 @@ def _damped_least_squares_reference(model_fn, theta0, t, v, max_iterations, sse_
                 lam *= 4.0
                 continue
             trial = theta + delta
-            if not analysis._theta_ok(trial):
+            if not _theta_ok_reference(trial):
                 lam *= 4.0
                 continue
             f_t, jac_t = model_fn(trial, t)

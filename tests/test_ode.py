@@ -432,6 +432,116 @@ def test_sample_grid_is_the_former_unique_merge(case):
     assert wf.times.tobytes() == _unique_merge(cfg, t_end, dt_out).tobytes()
 
 
+# Reference for the exact engine, bit for bit: simulate_leaky as it was when
+# it merged its grid with a mask against t_end and handed the times to
+# leaky_voltage, kept verbatim with leaky_voltage's checks, its stretch index,
+# the propagator kernel, the state chain and the combine. The window checks,
+# the sample budget and the stretch arrays are the library's own, which have
+# references of their own above.
+
+def _phi_reference(x):
+    y = np.minimum(x, -1e-300)
+    return np.expm1(y) / y
+
+
+def _advance_reference(a, dt, level, tau1, tau2):
+    lam = 1.0 / tau1 - 1.0 / tau2
+    slow = tau2 if lam > 0.0 else tau1
+    with np.errstate(over="ignore"):
+        decay = np.exp(dt / -tau1)
+        tilt = np.exp(a / -tau2 - dt / slow)
+        x = -abs(lam) * dt
+    with np.errstate(over="raise"):
+        return decay, level * dt * tilt * _phi_reference(x)
+
+
+def _simulate_leaky_reference(config, leak, code, t_end=None, dt_out=None):
+    t_end = ode._positive("t_end", ode.default_t_end(config, leak) if t_end is None else t_end)
+    dt_out = ode._positive("dt_out", ode._default_dt_out(t_end) if dt_out is None else dt_out)
+    n_grid = t_end / dt_out * (1.0 + 1e-12)
+    core._require_sample_budget(n_grid + 1 + config.q + 2, "t_end / dt_out")
+    n_out = int(math.floor(n_grid))
+    grid = np.arange(n_out + 1) * dt_out
+    with np.errstate(over="ignore"):
+        edges = np.arange(config.q + 1) * config.t_w
+    times = np.concatenate([grid, edges[edges <= t_end], [t_end]])
+    times.sort(kind="stable")
+    times = times[np.append(True, times[1:] != times[:-1]) & (times <= t_end)]
+
+    core._require_matching_width(config, code)
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("sample times must be finite")
+    if t[0] < 0.0:
+        raise ValueError("sample times must be >= 0")
+    if np.any(t[1:] < t[:-1]):
+        raise ValueError("sample times must be sorted")
+    starts, ends, gates = ode._drive_intervals(config, code, float(t[-1]))
+    n = starts.size - 1
+    k = np.searchsorted(ends[:-1], t, side="right")
+    idx = np.concatenate([np.arange(n), k])
+    a = starts[idx]
+    level = np.where(gates, config.v_set, -0.0)[idx]
+    decay, drive = _advance_reference(a, np.concatenate([ends[:-1], t]) - a, level,
+                                      leak.tau1, config.tau2)
+    s = leak.v0
+    states = [s]
+    for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
+        s = s * d + g
+        states.append(s)
+    with np.errstate(over="raise", invalid="raise"):
+        values = np.array(states)[k] * decay[n:] + drive[n:]
+    return Waveform(times, values)
+
+
+def _run_bytes(simulate, *args):
+    # the bytes of times and values, or the type and message of the error
+    try:
+        wf = simulate(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return wf.times.tobytes(), wf.values.tobytes()
+
+
+@st.composite
+def _simulate_cases(draw):
+    # a code of any width up to 1,100, random or alternating either way; time
+    # constants up to 1e3 apart, whose fast leaks overflow a state or drive;
+    # the default window, or one that ends on a slot edge or on a grid point
+    # of dt_out = t_w / m, where the 1e-12 slack can put a grid point past t_end
+    q = draw(st.integers(1, 1100))
+    pattern = draw(st.sampled_from(["random", "10", "01"]))
+    if pattern == "random":
+        code = DigitalCode.from_int(draw(st.integers(0, (1 << q) - 1)), q)
+    else:
+        code = DigitalCode.from_string((pattern * q)[:q])
+    tau2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    cfg = TdacConfig(q=q, t_w=tau2 * draw(st.floats(0.05, 2.0)), tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    leak = LeakConfig(tau1=tau2 * 10.0 ** draw(st.floats(-3.0, 3.0)),
+                      v0=draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)))
+    window = draw(st.sampled_from(["default", "edge", "grid"]))
+    if window == "default":
+        return cfg, leak, code, None, None
+    m = draw(st.integers(1, 16))
+    dt_out = cfg.t_w / m
+    if window == "edge":
+        return cfg, leak, code, draw(st.integers(1, q + 2)) * cfg.t_w, dt_out
+    return cfg, leak, code, draw(st.integers(1, (q + 2) * m)) * dt_out, dt_out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_simulate_cases())
+# the 44th grid point of dt_out = t_w / 11 ends 1 ulp past t_end = 4 t_w
+@example((TdacConfig(q=4, t_w=0.1), LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4),
+          4 * 0.1, 0.1 / 11))
+def test_simulate_leaky_equals_the_reference_bit_for_bit(case):
+    expected = _run_bytes(_simulate_leaky_reference, *case)
+    assert _run_bytes(simulate_leaky, *case) == expected
+
+
 def _digest(wf):
     return hashlib.sha256(wf.times.tobytes() + wf.values.tobytes()).hexdigest()
 
@@ -913,6 +1023,53 @@ def test_numeric_block_edges_are_the_per_step_loop(steps, code, v0):
     t_end = 1.0 if cfg.q == 1 else 1.0 + (steps - first - 0.5) * dt
     total = _assert_rk4_is_the_per_step_loop(cfg, leak, DigitalCode.from_string(code), t_end, dt)
     assert total == steps
+
+
+# --- power-of-two scaling ----------------------------------------------------
+
+@st.composite
+def _scaling_cases(draw):
+    # a window of at most 2,000 steps of at most 0.1 min(tau1, tau2), so no
+    # value comes near the subnormal range, where rounding stops commuting
+    # with a power of two; the step is explicit or each engine's default
+    q = draw(st.integers(1, 12))
+    code = DigitalCode.from_int(draw(st.integers(0, (1 << q) - 1)), q)
+    tau2 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    cfg = TdacConfig(q=q, t_w=tau2 * draw(st.floats(0.05, 2.0)), tau2=tau2,
+                     v_set=draw(st.floats(0.1, 10.0)))
+    leak = LeakConfig(tau1=tau2 * 10.0 ** draw(st.floats(-2.0, 2.0)),
+                      v0=draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)))
+    step = draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * 0.1 * min(leak.tau1, tau2)))
+    rk4_dt = 0.01 * min(leak.tau1, tau2, cfg.t_w) if step is None else step
+    t_end = min(draw(st.floats(0.1, 3.0)) * q * cfg.t_w, 2000.0 * rk4_dt)
+    return cfg, leak, code, t_end, step
+
+
+def _doubled(x):
+    return None if x is None else 2.0 * x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scaling_cases())
+@example((TdacConfig(q=4, t_w=LN2), LeakConfig(tau1=0.5, v0=-0.0),
+          DigitalCode.from_string("1011"), 3.0, None))
+def test_leaky_runs_scale_by_powers_of_two(case):
+    cfg, leak, code, t_end, step = case
+    for simulate in (simulate_leaky, simulate_leaky_numeric):
+        base = simulate(cfg, leak, code, t_end, step)
+        # doubling the drive and the initial state doubles every sample
+        louder = simulate(TdacConfig(q=cfg.q, t_w=cfg.t_w, tau2=cfg.tau2, v_set=2.0 * cfg.v_set),
+                          LeakConfig(tau1=leak.tau1, v0=2.0 * leak.v0), code, t_end, step)
+        assert louder.times.tobytes() == base.times.tobytes()
+        assert louder.values.tobytes() == (2.0 * base.values).tobytes()
+        # doubling every time doubles every time and every value, v0 too, since
+        # the output is v_set times a time
+        slower = simulate(TdacConfig(q=cfg.q, t_w=2.0 * cfg.t_w, tau2=2.0 * cfg.tau2,
+                                     v_set=cfg.v_set),
+                          LeakConfig(tau1=2.0 * leak.tau1, v0=2.0 * leak.v0), code,
+                          2.0 * t_end, _doubled(step))
+        assert slower.times.tobytes() == (2.0 * base.times).tobytes()
+        assert slower.values.tobytes() == (2.0 * base.values).tobytes()
 
 
 # --- alpha / dual shapes ---------------------------------------------------
