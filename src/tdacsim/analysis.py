@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TdacConfig, _require_curve_width, _slot_weights, code_sums
+from .core import TdacConfig, _require_curve_width, _slot_weights, _weights_at, code_sums
 from .ode import Waveform, _alpha_model, _dual_model, peak_of
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -37,7 +37,7 @@ class TransferCurve:
         # 2^q entries with q >= 1: a power of two and at least 2
         if v.size < 2 or v.size & (v.size - 1):
             raise ValueError("curve must cover every code of a width q >= 1")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("transfer curve outputs must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "outputs", v)
@@ -79,7 +79,7 @@ def linearity_report(curve) -> LinearityReport:
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need at least two curve entries")
     # a TransferCurve checked its outputs when it was built
-    if plain and not np.all(np.isfinite(v)):
+    if plain and not np.isfinite(v).all():
         raise ValueError("curve entries must be finite")
     step = (float(v[-1]) - float(v[0])) / (v.size - 1)
     if v[-1] == v[0]:
@@ -91,18 +91,23 @@ def linearity_report(curve) -> LinearityReport:
         spread = float(np.ptp(v))
     if step == 0.0 or spread / abs(step) > sys.float_info.max / v.size:
         raise ValueError("endpoint step too small for the spread of the curve")
-    diffs = np.diff(v)
-    dnl = diffs / step - 1.0
+    diffs = v[1:] - v[:-1]
+    dnl = diffs / step
+    dnl -= 1.0
     # offsets from v[0] first: subtracting the line from v itself loses whole
     # steps to rounding when |v[0]| dwarfs the step
-    inl = ((v - v[0]) - step * np.arange(v.size)) / step
+    inl = v - v[0]
+    inl -= step * np.arange(v.size)
+    inl /= step
+    # abs before max: an exactly linear falling curve has INL entries of
+    # -0.0, and its max |INL| is +0.0
     return LinearityReport(
         lsb_step=step,
         dnl=dnl,
         inl=inl,
-        monotone=bool(np.all(diffs >= 0.0)),
-        max_abs_dnl=float(np.max(np.abs(dnl))),
-        max_abs_inl=float(np.max(np.abs(inl))),
+        monotone=bool((diffs >= 0.0).all()),
+        max_abs_dnl=float(np.abs(dnl).max()),
+        max_abs_inl=float(np.abs(inl).max()),
     )
 
 
@@ -384,9 +389,12 @@ def calibrate_pulse_width(
     if q > _CALIBRATION_MAX_BITS:
         raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
 
+    # one converter for the whole search: it validates v_set and c_out, and
+    # every trial width in [lo, hi] is valid too, so only t_w / tau2 varies
+    config = TdacConfig(q=q, t_w=lo, tau2=tau2, v_set=v_set, c_out=c_out)
+
     def objective(tw: float) -> float:
-        config = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
-        return _max_abs_inl(_slot_weights(config))
+        return _max_abs_inl(_weights_at(config, tw / tau2))
 
     tol = _CALIBRATION_REL_TOL * tau2
     a, b = lo, hi

@@ -105,14 +105,22 @@ def _require_finite(v: float) -> float:
 
 
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
-    # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
-    # divided by c_out
-    r = config.t_w / config.tau2
+    return _weights_at(config, config.t_w / config.tau2)
+
+
+def _weights_at(config: TdacConfig, r: float) -> tuple[float, ...]:
+    # weight of slot k at t_w / tau2 = r: the integral of the drive over
+    # [k t_w, (k+1) t_w] divided by c_out, scale (e_k - e_(k+1)) with
+    # e_k = exp(-k r), each of the q + 1 exponentials computed once. e_0 is
+    # exp(0.0 * r): NaN, not 1.0, when r overflowed to inf
     scale = config.v_set * config.tau2 / config.c_out
-    return tuple(
-        scale * (math.exp(-k * r) - math.exp(-(k + 1) * r))
-        for k in range(config.q)
-    )
+    weights = []
+    e_prev = math.exp(0.0 * r)
+    for k in range(1, config.q + 1):
+        e_k = math.exp(-k * r)
+        weights.append(scale * (e_prev - e_k))
+        e_prev = e_k
+    return tuple(weights)
 
 
 def _set_bit_sum(slot_values: tuple[float, ...], code: DigitalCode) -> float:
@@ -129,13 +137,17 @@ def code_sums(slot_values) -> np.ndarray:
     """Sum of the slot values of the set bits for every code, in code order.
 
     ``slot_values`` run MSB slot first, so entry c is the output of code c
-    when the values are slot weights. The array doubles once per slot; a
-    clear bit adds an exact 0.0, so every entry is the same left fold as
-    the per-code conversion, to the last bit.
+    when the values are slot weights. Slot j is bit 2^(q-1-j) of the code:
+    one strided add into the one array of 2^q sums gives every code with
+    that bit set as the code without it plus the slot value. Every entry is
+    then the left fold from +0.0 over its set bits, as in the per-code
+    conversion, to the last bit.
     """
-    sums = np.zeros(1)
+    sums = np.zeros(1 << len(slot_values))
+    stride = sums.size
     for value in slot_values:
-        sums = (sums[:, None] + np.array([0.0, value])).ravel()
+        np.add(sums[::stride], value, out=sums[stride // 2::stride])
+        stride //= 2
     return sums
 
 
@@ -144,9 +156,8 @@ def convert_closed_form(config: TdacConfig, code: DigitalCode) -> float:
 
     Raises ``ValueError`` when the output is not a finite float.
     """
-    weights = _slot_weights(config)
     _require_matching_width(config, code)
-    return _require_finite(_set_bit_sum(weights, code))
+    return _require_finite(_set_bit_sum(_slot_weights(config), code))
 
 
 def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, ...]:
@@ -161,11 +172,11 @@ def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, .
     weights = np.ones(n_points)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = config.t_w / (2 * steps_per_slot)
+    h_3 = config.t_w / (2 * steps_per_slot) / 3.0
     v = np.arange(config.q)[:, None] * config.t_w + np.linspace(0.0, config.t_w, n_points)
     np.exp(np.divide(v, -config.tau2, out=v), out=v)
     v *= config.v_set
-    return tuple(float(h / 3.0 * np.dot(weights, row)) for row in v)
+    return tuple(float(h_3 * np.dot(weights, row)) for row in v)
 
 
 def convert_quadrature(
@@ -177,7 +188,7 @@ def convert_quadrature(
     ``steps_per_slot`` counts Simpson panels per slot and must be at least
     16. Raises ``ValueError`` when the output is not a finite float.
     """
-    integrals = _slot_quadratures(config, steps_per_slot)
     _require_matching_width(config, code)
+    integrals = _slot_quadratures(config, steps_per_slot)
     return _require_finite(_set_bit_sum(integrals, code) / config.c_out)
 

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -64,6 +65,27 @@ def exp_calls(monkeypatch):
     """
     counts = Counter()
     monkeypatch.setattr(np, "exp", _counted(counts, "exp", np.exp))
+    return counts
+
+
+@pytest.fixture
+def math_exp_calls(monkeypatch):
+    """Count the ``math.exp`` calls a test makes.
+
+    The q slot weights share their q + 1 exponentials, so slot weights that
+    take 2q calls compute every interior exponential twice.
+    """
+    counts = Counter()
+    monkeypatch.setattr(math, "exp", _counted(counts, "exp", math.exp))
+    return counts
+
+
+@pytest.fixture
+def slot_value_calls(monkeypatch):
+    """Count the slot-weight and slot-quadrature computations a test makes."""
+    counts = Counter()
+    for name in ("_slot_weights", "_slot_quadratures"):
+        _count_calls(monkeypatch, counts, core, name)
     return counts
 
 

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import operator
 import sys
 import unittest.mock
 
@@ -18,6 +19,7 @@ from tdacsim import (
     DigitalCode,
     FitResult,
     LeakConfig,
+    LinearityReport,
     TdacConfig,
     TransferCurve,
     Waveform,
@@ -33,8 +35,12 @@ from tdacsim import (
     simulate_leaky,
     transfer_curve,
 )
-from tdacsim.analysis import _CALIBRATION_REL_TOL, _INV_PHI
-from tdacsim.core import _slot_quadratures, code_sums
+from tdacsim.analysis import _CALIBRATION_MAX_BITS, _CALIBRATION_REL_TOL, _INV_PHI, _max_abs_inl
+from tdacsim.core import _slot_quadratures, _slot_weights, code_sums
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 # --- transfer_curve ---------------------------------------------------------
@@ -238,6 +244,93 @@ def test_dnl_inl_telescoping(values):
     acc = np.concatenate([[0.0], np.cumsum(report.dnl)])
     tol = 1e-9 * max(1.0, report.max_abs_dnl)
     assert np.allclose(acc, report.inl - report.inl[0], rtol=1e-9, atol=tol)
+
+
+def test_report_of_an_exact_falling_line_has_positive_zero_maxima():
+    # every INL entry of this curve is -0.0; its max |INL| is +0.0
+    report = linearity_report(np.array([3.0, 2.0, 1.0, 0.0]))
+    for value in (report.max_abs_inl, report.max_abs_dnl):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+# Reference for the report: its body as it was before the in-place steps,
+# kept verbatim. The report must equal it to the last bit.
+
+def _linearity_report_reference(curve) -> LinearityReport:
+    plain = not isinstance(curve, TransferCurve)
+    v = np.asarray(curve, float) if plain else curve.outputs
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError("need at least two curve entries")
+    # a TransferCurve checked its outputs when it was built
+    if plain and not np.all(np.isfinite(v)):
+        raise ValueError("curve entries must be finite")
+    step = (float(v[-1]) - float(v[0])) / (v.size - 1)
+    if v[-1] == v[0]:
+        raise ValueError("degenerate flat curve: endpoint step is zero")
+    # DNL and INL are in step units: a step that underflows to zero, or is so
+    # small that the curve's spread (and the running sums of its DNL) has no
+    # finite value in them, cannot measure the curve
+    with np.errstate(over="raise"):
+        spread = float(np.ptp(v))
+    if step == 0.0 or spread / abs(step) > sys.float_info.max / v.size:
+        raise ValueError("endpoint step too small for the spread of the curve")
+    diffs = np.diff(v)
+    dnl = diffs / step - 1.0
+    # offsets from v[0] first: subtracting the line from v itself loses whole
+    # steps to rounding when |v[0]| dwarfs the step
+    inl = ((v - v[0]) - step * np.arange(v.size)) / step
+    return LinearityReport(
+        lsb_step=step,
+        dnl=dnl,
+        inl=inl,
+        monotone=bool(np.all(diffs >= 0.0)),
+        max_abs_dnl=float(np.max(np.abs(dnl))),
+        max_abs_inl=float(np.max(np.abs(inl))),
+    )
+
+
+def _report_outcome(report_fn, curve):
+    try:
+        r = report_fn(curve)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    scalars = np.array([r.lsb_step, r.max_abs_dnl, r.max_abs_inl]).tobytes()
+    return scalars, r.monotone, r.dnl.tobytes(), r.inl.tobytes()
+
+
+@st.composite
+def _report_inputs(draw):
+    kind = draw(st.sampled_from(["curve", "line", "sorted", "plain"]))
+    if kind == "curve":
+        tau2 = draw(_log_uniform(1e-3, 1e3))
+        return transfer_curve(TdacConfig(
+            q=draw(st.integers(1, 12)),
+            t_w=draw(_log_uniform(1e-9, 50.0)) * tau2,
+            tau2=tau2,
+            v_set=draw(_log_uniform(1e-3, 1e3)),
+            c_out=draw(_log_uniform(1e-3, 1e3)),
+        ))
+    n = draw(st.integers(2, 64))
+    if kind == "line":
+        # a constant step, rising or falling, exact when both are integers
+        start, step = (
+            draw(st.one_of(st.integers(-8, 8).map(float), st.floats(-1e3, 1e3)))
+            for _ in range(2)
+        )
+        return start + step * np.arange(n)
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    if kind == "sorted":
+        values.sort(reverse=draw(st.booleans()))
+    return np.array(values)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_report_inputs())
+@example(np.array([3.0, 2.0, 1.0, 0.0]))
+@example(np.array([-1.0, -2.0, -3.0]))
+def test_report_equals_the_reference(curve):
+    expected = _report_outcome(_linearity_report_reference, curve)
+    assert _report_outcome(linearity_report, curve) == expected
 
 
 # --- fit_waveform -----------------------------------------------------------
@@ -948,6 +1041,105 @@ def test_calibration_step_guards_match_the_report(v_set, c_out, match):
     for calibrate in (calibrate_pulse_width, _enumerated_calibrate_pulse_width):
         with pytest.raises(ValueError, match=match):
             calibrate(1.0, 8, (0.3, 1.2), v_set=v_set, c_out=c_out)
+
+
+@pytest.mark.parametrize("name", ["v_set", "c_out"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_calibration_rejects_a_bad_converter_before_searching(name, bad, calibration_calls):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        calibrate_pulse_width(1.0, 8, (0.3, 1.2), **{name: bad})
+    assert calibration_calls["_max_abs_inl"] == 0
+
+
+# Reference for the search: calibrate_pulse_width as it was when its objective
+# built and validated a TdacConfig at every evaluation, kept verbatim. One
+# config for the whole search must give the same width, or the same error.
+
+def _per_evaluation_config_calibrate_pulse_width(
+    tau2: float,
+    q: int,
+    search_bounds: tuple[float, float],
+    v_set: float = 1.0,
+    c_out: float = 1.0,
+) -> float:
+    lo, hi = (float(x) for x in search_bounds)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("search bounds must be finite")
+    if not (0.0 < lo < hi):
+        raise ValueError("search bounds must satisfy 0 < lo < hi")
+    tau2 = float(tau2)
+    if not (math.isfinite(tau2) and tau2 > 0.0):
+        raise ValueError(f"tau2 must be finite and positive, got {tau2!r}")
+    q = operator.index(q)
+    if q < 2:
+        raise ValueError("calibration needs at least two bits")
+    if q > _CALIBRATION_MAX_BITS:
+        raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
+
+    def objective(tw: float) -> float:
+        config = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
+        return _max_abs_inl(_slot_weights(config))
+
+    tol = _CALIBRATION_REL_TOL * tau2
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = objective(d)
+    best = 0.5 * (a + b)
+    if best - lo < 10.0 * tol or hi - best < 10.0 * tol:
+        raise BracketingError(
+            "search converged onto a bound; the bounds do not bracket "
+            "an interior minimum"
+        )
+    return best
+
+
+def _calibration_outcome(calibrate, holder, *args):
+    # the slot weights of every evaluation, in order, and the width or error:
+    # the width alone would hide an objective off by an ulp
+    weights = []
+    inner = holder._max_abs_inl
+
+    def recorded(w):
+        weights.append(np.array(w).tobytes())
+        return inner(w)
+
+    with unittest.mock.patch.object(holder, "_max_abs_inl", recorded):
+        try:
+            return weights, np.float64(calibrate(*args)).tobytes()
+        except ValueError as exc:
+            return weights, (type(exc).__name__, str(exc))
+
+
+@st.composite
+def _calibration_cases(draw):
+    # mostly bounds either side of ln 2; otherwise two widths in any order
+    tau2 = draw(_log_uniform(1e-3, 1e3))
+    if draw(st.booleans()):
+        ratios = draw(_log_uniform(1e-9, 0.69)), draw(_log_uniform(0.7, 50.0))
+    else:
+        ratios = draw(_log_uniform(1e-9, 50.0)), draw(_log_uniform(1e-9, 50.0))
+    bounds = tuple(ratio * tau2 for ratio in ratios)
+    v_set, c_out = draw(_log_uniform(1e-3, 1e3)), draw(_log_uniform(1e-3, 1e3))
+    return tau2, draw(st.integers(1, 16)), bounds, v_set, c_out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_calibration_cases())
+def test_calibration_equals_the_per_evaluation_config_search(case):
+    expected = _calibration_outcome(
+        _per_evaluation_config_calibrate_pulse_width, sys.modules[__name__], *case
+    )
+    assert _calibration_outcome(calibrate_pulse_width, analysis, *case) == expected
 
 
 def test_calibration_builds_no_curve(calibration_calls, monkeypatch):

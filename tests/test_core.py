@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdacsim
@@ -137,6 +137,16 @@ def test_conversion_rejects_non_finite_output(convert):
 def test_closed_form_rejects_width_mismatch():
     with pytest.raises(ValueError):
         convert_closed_form(_cfg_ln2(4), DigitalCode.from_int(3, 5))
+
+
+@pytest.mark.parametrize("convert", [convert_closed_form, convert_quadrature])
+def test_width_mismatch_is_raised_before_the_slot_work(convert, slot_value_calls):
+    # the slot work grows with the converter's q, and a million quadrature
+    # slots are past the sample budget: the code's width is checked first
+    cfg = TdacConfig(q=10**6, t_w=1.0)
+    with pytest.raises(ValueError, match="^code has 1 bits but the converter expects 1000000$"):
+        convert(cfg, DigitalCode.from_string("1"))
+    assert sum(slot_value_calls.values()) == 0
 
 
 @given(st.integers(1, 255))
@@ -271,6 +281,71 @@ def test_slot_quadratures_make_one_exp_call(exp_calls, q):
     cfg = TdacConfig(q=q, t_w=0.37, tau2=1.3)
     assert len(core._slot_quadratures(cfg, 33)) == q
     assert exp_calls["exp"] == 1
+
+
+# The slot weights and code_sums as they were before the weights shared their
+# exponentials and the sums were built in one array, kept verbatim. The new
+# forms must equal them to the last bit.
+
+def _slot_weights_reference(config):
+    # weight of slot k: integral of the drive over [k t_w, (k+1) t_w],
+    # divided by c_out
+    r = config.t_w / config.tau2
+    scale = config.v_set * config.tau2 / config.c_out
+    return tuple(
+        scale * (math.exp(-k * r) - math.exp(-(k + 1) * r))
+        for k in range(config.q)
+    )
+
+
+def _code_sums_reference(slot_values):
+    sums = np.zeros(1)
+    for value in slot_values:
+        sums = (sums[:, None] + np.array([0.0, value])).ravel()
+    return sums
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@st.composite
+def _converters(draw):
+    # t_w / tau2 up to 50, where the last slots' exponentials underflow to 0.0
+    tau2 = draw(_log_uniform(1e-3, 1e3))
+    return TdacConfig(
+        q=draw(st.integers(1, 16)),
+        t_w=draw(_log_uniform(1e-9, 50.0)) * tau2,
+        tau2=tau2,
+        v_set=draw(_log_uniform(1e-3, 1e3)),
+        c_out=draw(_log_uniform(1e-3, 1e3)),
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_converters())
+@example(TdacConfig(q=16, t_w=50.0))
+# t_w / tau2 overflows to inf, and exp(0 * inf) makes the first weight NaN
+@example(TdacConfig(q=3, t_w=1e300, tau2=1e-10))
+def test_slot_weights_equal_the_reference(config):
+    assert _bytes(core._slot_weights(config)) == _bytes(_slot_weights_reference(config))
+
+
+@pytest.mark.parametrize("q", [1, 8, 16])
+def test_slot_weights_take_q_plus_one_exponentials(math_exp_calls, q):
+    assert len(core._slot_weights(TdacConfig(q=q, t_w=0.37, tau2=1.3))) == q
+    assert math_exp_calls["exp"] == q + 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    _converters().map(_slot_weights_reference),
+    # signed values, signed zeros and subnormals; no sum may come out as -0.0
+    st.lists(st.floats(-1e3, 1e3), max_size=12).map(tuple),
+))
+@example(_slot_weights_reference(TdacConfig(q=3, t_w=1e300, tau2=1e-10)))
+def test_code_sums_equal_the_reference(slot_values):
+    assert core.code_sums(slot_values).tobytes() == _code_sums_reference(slot_values).tobytes()
 
 
 @settings(max_examples=40)
