@@ -172,11 +172,23 @@ def _slot_quadratures(config: TdacConfig, steps_per_slot: int) -> tuple[float, .
     weights = np.ones(n_points)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h_3 = config.t_w / (2 * steps_per_slot) / 3.0
-    v = np.arange(config.q)[:, None] * config.t_w + np.linspace(0.0, config.t_w, n_points)
+    # np.linspace(0.0, t_w, n_points) by linspace's own arithmetic, including
+    # its branch for a step that underflows to 0 (a subnormal t_w); adding its
+    # start, +0.0, would change no point
+    step = config.t_w / (n_points - 1)
+    points = np.arange(n_points, dtype=float)
+    if step == 0.0:
+        points /= n_points - 1
+        points *= config.t_w
+    else:
+        points *= step
+    points[-1] = config.t_w
+    v = np.arange(config.q)[:, None] * config.t_w + points
     np.exp(np.divide(v, -config.tau2, out=v), out=v)
     v *= config.v_set
-    return tuple(float(h_3 * np.dot(weights, row)) for row in v)
+    sums = np.array(list(map(weights.dot, v)))
+    sums *= step / 3.0
+    return tuple(sums.tolist())
 
 
 def convert_quadrature(

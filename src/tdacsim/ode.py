@@ -82,21 +82,25 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return np.expm1(y) / y
 
 
-def _advance(a, dt, level, tau1: float, tau2: float):
+def _advance(a, dt, on, v_set: float, tau1: float, tau2: float):
     # decay factor and driven increment dt into stretches that start at a, in the
-    # form of ``leaky_voltage``; level is v_set where driven and -0.0 where not,
-    # so an undriven increment keeps the sign of a zero state
+    # form of ``leaky_voltage``. The increment is computed only where the gate
+    # is on; elsewhere it is -0.0, so an undriven increment keeps the sign of a
+    # zero state (x + -0.0 == x for every float x)
     lam = 1.0 / tau1 - 1.0 / tau2
     slow = tau2 if lam > 0.0 else tau1
+    dt_on = dt[on]
     # a tiny time constant takes an exponent past the float range as -inf,
     # and exp(-inf) and phi(-inf) are the right 0
     with np.errstate(over="ignore"):
         decay = np.exp(dt / -tau1)
-        tilt = np.exp(a / -tau2 - dt / slow)
-        x = -abs(lam) * dt
+        tilt = np.exp(a[on] / -tau2 - dt_on / slow)
+        x = -abs(lam) * dt_on
+    drive = np.full(dt.size, -0.0)
     # v_set * dt is the one product here that can pass the float range
     with np.errstate(over="raise"):
-        return decay, level * dt * tilt * _phi(x)
+        drive[on] = v_set * dt_on * tilt * _phi(x)
+    return decay, drive
 
 
 def _drive_intervals(
@@ -142,7 +146,9 @@ def leaky_voltage(
     argument is never positive: no leak is too fast for it. One kernel
     call gives the decay factor and the driven increment of the stretch
     ends and of all samples together, straight from the stretch arrays of
-    ``_drive_intervals``; a scalar pass V(b) = V(a) d + g chains the
+    ``_drive_intervals``. It computes the increment only where the gate is
+    on; an undriven one is -0.0, which leaves every state, a signed zero
+    included, as it is. A scalar pass V(b) = V(a) d + g chains the
     stretch states. Each sample finds its stretch by binary search over the
     stretch ends (a sample on an edge belongs to the later stretch). A value
     past the float range, v_set (t-a) or the sum of state and drive at a
@@ -171,8 +177,8 @@ def _leaky_values(config: TdacConfig, leak: LeakConfig, code: DigitalCode, t: np
     # never sampled, and for the samples after them
     idx = np.concatenate((np.arange(n), k))
     a = starts[idx]
-    level = np.where(gates, config.v_set, -0.0)[idx]
-    decay, drive = _advance(a, np.concatenate((ends[:-1], t)) - a, level, leak.tau1, config.tau2)
+    decay, drive = _advance(a, np.concatenate((ends[:-1], t)) - a, gates[idx], config.v_set,
+                            leak.tau1, config.tau2)
     s = leak.v0
     states = [s]
     for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
@@ -199,22 +205,10 @@ def _default_dt_out(t_end: float) -> float:
     return t_end / 2048.0
 
 
-def simulate_leaky(
-    config: TdacConfig,
-    leak: LeakConfig,
-    code: DigitalCode,
-    t_end: float | None = None,
-    dt_out: float | None = None,
-) -> Waveform:
-    """Leaky-mode response on a grid of dt_out multiples plus slot edges.
-
-    Slot boundaries are always sampled so that alternating-code ripple is
-    never aliased away. Values come from the exact propagator, not from a
-    discretization; after the last slot the output decays as a pure
-    exponential in tau1. The times built here are finite, sorted and
-    non-negative, so they skip ``leaky_voltage``'s checks; ``Waveform``
-    checks the result once (an overflowed state reaches it as inf).
-    """
+def _sample_times(config: TdacConfig, leak: LeakConfig, t_end, dt_out) -> np.ndarray:
+    # simulate_leaky's sample times: the window and the step, checked, then the
+    # sample budget; a finite, sorted, non-negative merge of the dt_out grid,
+    # the slot edges and t_end itself
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
     dt_out = _positive("dt_out", _default_dt_out(t_end) if dt_out is None else dt_out)
 
@@ -231,7 +225,26 @@ def simulate_leaky(
     times = np.concatenate((grid, edges[edges <= t_end], [t_end]))
     # one merge of the three sorted runs; a time in two of them is kept once
     times.sort(kind="stable")
-    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+    return times[np.concatenate(([True], times[1:] != times[:-1]))]
+
+
+def simulate_leaky(
+    config: TdacConfig,
+    leak: LeakConfig,
+    code: DigitalCode,
+    t_end: float | None = None,
+    dt_out: float | None = None,
+) -> Waveform:
+    """Leaky-mode response on a grid of dt_out multiples plus slot edges.
+
+    Slot boundaries are always sampled so that alternating-code ripple is
+    never aliased away. Values come from the exact propagator, not from a
+    discretization; after the last slot the output decays as a pure
+    exponential in tau1. The times built here are finite, sorted and
+    non-negative, so they skip ``leaky_voltage``'s checks; ``Waveform``
+    checks the result once (an overflowed state reaches it as inf).
+    """
+    times = _sample_times(config, leak, t_end, dt_out)
     _require_matching_width(config, code)
     return Waveform(times, _leaky_values(config, leak, code, times))
 
@@ -376,12 +389,12 @@ def peak_of(waveform: Waveform) -> tuple[float, float]:
     """
     t = waveform.times
     v = waveform.values
-    i = int(np.argmax(v))
+    i = int(v.argmax())
     if i == 0 or i == len(waveform) - 1:
         return float(t[i]), float(v[i])
 
-    t0, t1, t2 = float(t[i - 1]), float(t[i]), float(t[i + 1])
-    v0, v1, v2 = float(v[i - 1]), float(v[i]), float(v[i + 1])
+    t0, t1, t2 = t[i - 1 : i + 2].tolist()
+    v0, v1, v2 = v[i - 1 : i + 2].tolist()
     d0 = (t0 - t1) * (t0 - t2)
     d1 = (t1 - t0) * (t1 - t2)
     d2 = (t2 - t0) * (t2 - t1)

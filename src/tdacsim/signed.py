@@ -21,7 +21,7 @@ from .core import (
     code_sums,
     convert_closed_form,
 )
-from .ode import LeakConfig, Waveform, simulate_leaky
+from .ode import LeakConfig, Waveform, _leaky_values, _sample_times
 
 SIGN_BIT = 8
 MAGNITUDE_BITS = 7
@@ -102,7 +102,15 @@ def simulate_signed_leaky(
     gain = config.gain_pos if positive else config.gain_neg
     sign = 1.0 if positive else -1.0
     cfg = _magnitude_config(config, gain)
-    wf = simulate_leaky(cfg, replace(leak, v0=sign * leak.v0), magnitude, t_end, dt_out)
+    # simulate_leaky's steps; the magnitude has the width of cfg by construction
+    times = _sample_times(cfg, leak, t_end, dt_out)
+    v = _leaky_values(cfg, replace(leak, v0=sign * leak.v0), magnitude, times)
     with np.errstate(over="raise"):
-        values = config.baseline + sign * wf.values
-    return Waveform(wf.times, values)
+        try:
+            values = config.baseline + sign * v
+        except FloatingPointError:
+            # a state past the float range (inf or nan in v) takes precedence
+            # over an add that overflows at another sample
+            Waveform(times, v)
+            raise
+    return Waveform(times, values)

@@ -69,6 +69,25 @@ def exp_calls(monkeypatch):
 
 
 @pytest.fixture
+def expm1_sizes(monkeypatch):
+    """Record the size of every ``np.expm1`` call a test makes.
+
+    The leaky propagator's ``phi`` takes the driven stretch ends and samples
+    only, so a kernel whose ``phi`` sees the undriven ones too has gone back
+    to computing an increment it then multiplies by -0.0.
+    """
+    sizes = []
+    expm1 = np.expm1
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return expm1(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", recorded)
+    return sizes
+
+
+@pytest.fixture
 def math_exp_calls(monkeypatch):
     """Count the ``math.exp`` calls a test makes.
 

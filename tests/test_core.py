@@ -276,6 +276,37 @@ def test_slot_quadratures_equal_the_per_slot_rule(q, steps_per_slot, tau2, ratio
     assert got == _per_slot_quadratures(cfg, steps_per_slot)
 
 
+def _with_drive(monkeypatch, quadratures, config, steps_per_slot):
+    # the quadratures and, row by row, the drive values of their np.exp calls
+    rows = []
+    exp = np.exp
+
+    def recorded(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        rows.extend(np.atleast_2d(out).copy())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "exp", recorded)
+        return quadratures(config, steps_per_slot), np.array(rows)
+
+
+@pytest.mark.parametrize("t_w, steps_per_slot",
+                         [(5e-324, 16), (5e-324, 256), (1e-322, 33), (1e-322, 256)])
+def test_slot_quadratures_take_linspace_subnormal_branch(monkeypatch, t_w, steps_per_slot):
+    # t_w / (n - 1) underflows to 0, so linspace divides by n - 1 and then
+    # multiplies by t_w. At tau2 = 5.6e-309 the drive at those points is
+    # not 1.0, so the points show in it; h / 3 underflows to 0 as well, so
+    # the quadratures alone would not show them
+    cfg = TdacConfig(q=3, t_w=t_w, tau2=5.6e-309)
+    assert t_w / (2 * steps_per_slot) == 0.0
+    got, drive = _with_drive(monkeypatch, core._slot_quadratures, cfg, steps_per_slot)
+    want, want_drive = _with_drive(monkeypatch, _per_slot_quadratures, cfg, steps_per_slot)
+    assert got == want
+    assert drive.tobytes() == want_drive.tobytes()
+    assert (drive != 1.0).any()
+
+
 @pytest.mark.parametrize("q", [1, 8, 16])
 def test_slot_quadratures_make_one_exp_call(exp_calls, q):
     cfg = TdacConfig(q=q, t_w=0.37, tau2=1.3)

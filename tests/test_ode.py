@@ -622,6 +622,19 @@ def test_propagator_makes_no_per_span_calls(propagator_calls):
     assert propagator_calls["_phi"] <= 1
 
 
+def test_drive_is_computed_only_under_the_gate(expm1_sizes):
+    # code 1000 drives slot 0 only: phi sees the end of that stretch and the
+    # samples before t_w (one on t_w belongs to the undriven stretch after it)
+    cfg = TdacConfig(q=4, t_w=LN2)
+    leak = LeakConfig(tau1=0.5)
+    wf = simulate_leaky(cfg, leak, DigitalCode.from_string("1000"))
+    driven = 1 + int((wf.times < cfg.t_w).sum())
+    assert expm1_sizes == [driven] and driven < len(wf) // 10
+    expm1_sizes.clear()
+    simulate_leaky(cfg, leak, DigitalCode.from_string("0000"))
+    assert sum(expm1_sizes) == 0
+
+
 # --- simulate_leaky_numeric ------------------------------------------------
 
 def test_numeric_pure_decay_accuracy():
@@ -1145,3 +1158,71 @@ def test_peak_of_keeps_sample_maximum_when_refinement_overflows():
     # the parabola's coefficients pass the float range though every sample is finite
     wf = Waveform([0.0, 1.0, 2.0], [1e308, 1.7e308, 1e308])
     assert peak_of(wf) == (1.0, 1.7e308)
+
+
+# peak_of as it was before it read its three samples with one slice each,
+# kept verbatim: np.argmax and six float() reads. The new reads must give
+# the same floats to the last bit.
+
+def _peak_of_reference(waveform):
+    t = waveform.times
+    v = waveform.values
+    i = int(np.argmax(v))
+    if i == 0 or i == len(waveform) - 1:
+        return float(t[i]), float(v[i])
+
+    t0, t1, t2 = float(t[i - 1]), float(t[i]), float(t[i + 1])
+    v0, v1, v2 = float(v[i - 1]), float(v[i]), float(v[i + 1])
+    d0 = (t0 - t1) * (t0 - t2)
+    d1 = (t1 - t0) * (t1 - t2)
+    d2 = (t2 - t0) * (t2 - t1)
+    if d0 == 0.0 or d1 == 0.0 or d2 == 0.0:
+        return t1, v1
+    a2 = v0 / d0 + v1 / d1 + v2 / d2
+    if a2 >= 0.0:
+        return t1, v1
+    a1 = -(v0 * (t1 + t2) / d0 + v1 * (t0 + t2) / d1 + v2 * (t0 + t1) / d2)
+    a0 = v0 * t1 * t2 / d0 + v1 * t0 * t2 / d1 + v2 * t0 * t1 / d2
+    ts = min(max(-a1 / (2.0 * a2), t0), t2)
+    vs = a0 + a1 * ts + a2 * ts * ts
+    if not (math.isfinite(vs) and vs >= v1):
+        return t1, v1
+    return float(ts), float(vs)
+
+
+_PEAK_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324, 1.7e308, -1.7e308])
+
+
+@st.composite
+def _peak_waveforms(draw):
+    # distinct sorted times, up to near the float range except on the
+    # parabolas; values drawn freely, from a small pool (ties, signed zeros,
+    # a maximum at either edge), constant, or from a concave or convex parabola
+    shape = draw(st.sampled_from(["free", "pool", "flat", "concave", "convex"]))
+    n = draw(st.integers(2, 12))
+    small = st.floats(0.0, 10.0) | st.integers(0, 50).map(float)
+    wide = small if shape in ("concave", "convex") else small | st.floats(0.0, 1e300)
+    times = sorted(draw(st.lists(wide, min_size=n, max_size=n, unique=True)))
+    if shape == "free":
+        values = draw(st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n))
+    elif shape == "pool":
+        values = draw(st.lists(_PEAK_VALUES, min_size=n, max_size=n))
+    elif shape == "flat":
+        values = [draw(_PEAK_VALUES | st.floats(-10.0, 10.0))] * n
+    else:
+        sign = -1.0 if shape == "concave" else 1.0
+        top, width = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 1e3))
+        centre = draw(st.sampled_from(times) | st.floats(-10.0, 60.0))
+        values = [top + sign * ((t - centre) / width) ** 2 for t in times]
+    return Waveform(times, values)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_peak_waveforms())
+@example(Waveform([0.0, 1.0, 2.0], [1e308, 1.7e308, 1e308]))
+@example(Waveform([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 1.0]))
+@example(Waveform([0.0, 1.0, 2.0], [-0.0, -0.0, -0.0]))
+def test_peak_of_equals_the_reference_bit_for_bit(wf):
+    got, want = peak_of(wf), _peak_of_reference(wf)
+    assert [type(x) for x in got] == [float, float]
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -1,9 +1,12 @@
 """Sign-magnitude eight-bit converter behavior."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdacsim import (
     LN2,
@@ -11,9 +14,12 @@ from tdacsim import (
     LeakConfig,
     SignedTdacConfig,
     TdacConfig,
+    Waveform,
     convert_signed,
     linearity_report,
+    signed,
     signed_transfer_curve,
+    simulate_leaky,
     simulate_signed_leaky,
 )
 
@@ -153,3 +159,83 @@ def test_waveform_baseline_overflow_is_one_error():
     with pytest.raises(FloatingPointError, match="overflow encountered in add"):
         simulate_signed_leaky(cfg, LeakConfig(tau1=1.0), DigitalCode.from_string("11111111"),
                               12.0, 0.5)
+
+
+def test_waveform_state_overflow_is_reported_before_the_baseline_add():
+    # the state passes the float range at the end of the first slot, and the
+    # first sample plus the baseline passes it too: the overflowed state is
+    # the error, as when the magnitude waveform was checked before the add
+    cfg = _scfg(base=TdacConfig(q=8, t_w=1.0, tau2=1.0, v_set=1e308), baseline=1e308)
+    leak = LeakConfig(tau1=1000.0, v0=1.5e308)
+    with pytest.raises(ValueError, match="^waveform times and values must be finite$"):
+        simulate_signed_leaky(cfg, leak, DigitalCode.from_string("11000000"), 3.0, 1.0)
+
+
+# simulate_signed_leaky as it was before it built its waveform from the
+# sample times and the propagator directly, kept verbatim: a checked
+# magnitude waveform from simulate_leaky, then a second Waveform. The new
+# form must equal it to the last bit, errors included.
+
+def _simulate_signed_leaky_reference(config, leak, code, t_end=None, dt_out=None):
+    positive, magnitude = signed._split_code(code)
+    gain = config.gain_pos if positive else config.gain_neg
+    sign = 1.0 if positive else -1.0
+    cfg = signed._magnitude_config(config, gain)
+    wf = simulate_leaky(cfg, replace(leak, v0=sign * leak.v0), magnitude, t_end, dt_out)
+    with np.errstate(over="raise"):
+        values = config.baseline + sign * wf.values
+    return Waveform(wf.times, values)
+
+
+def _run_bytes(simulate, *args):
+    # the bytes of times and values, or the type and message of the error
+    try:
+        wf = simulate(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return wf.times.tobytes(), wf.values.tobytes()
+
+
+_NEAR_OVERFLOW = st.sampled_from([1e307, 1e308, 1.5e308, 1.7976931348623157e308])
+
+
+def _signed_values(small):
+    # signed zeros, ordinary values and values whose sums pass the float range
+    return (st.sampled_from([0.0, -0.0]) | small | _NEAR_OVERFLOW
+            | _NEAR_OVERFLOW.map(lambda x: -x))
+
+
+@st.composite
+def _signed_cases(draw):
+    # both signs, gains that can push v_set past the float range, time
+    # constants up to e^8 apart, the default window or one of whole slots
+    tau2 = math.exp(draw(st.floats(-8.0, 8.0)))
+    base = TdacConfig(q=8, t_w=tau2 * draw(st.floats(0.05, 2.0)), tau2=tau2,
+                      v_set=draw(st.floats(0.1, 10.0) | _NEAR_OVERFLOW))
+    cfg = SignedTdacConfig(
+        base,
+        gain_pos=draw(st.just(1.0) | st.floats(0.5, 2.0)),
+        gain_neg=draw(st.just(1.0) | st.floats(0.5, 2.0)),
+        baseline=draw(_signed_values(st.floats(-1.0, 1.0))),
+    )
+    leak = LeakConfig(tau1=tau2 * math.exp(draw(st.floats(-8.0, 8.0))),
+                      v0=draw(_signed_values(st.floats(-2.0, 2.0))))
+    code = DigitalCode.from_int(draw(st.integers(0, 255)), 8)
+    if draw(st.booleans()):
+        return cfg, leak, code, None, None
+    t_w = base.t_w
+    return cfg, leak, code, draw(st.integers(1, 10)) * t_w, t_w / draw(st.integers(1, 16))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_signed_cases())
+@example((_scfg(base=TdacConfig(q=8, t_w=1.0, tau2=1.0, v_set=1e308), baseline=1e308),
+          LeakConfig(tau1=1000.0, v0=1.5e308), DigitalCode.from_string("11000000"), 3.0, 1.0))
+@example((_scfg(base=TdacConfig(q=8, t_w=1.0, tau2=1.0, v_set=1e308), baseline=-1e308),
+          LeakConfig(tau1=1000.0, v0=1.5e308), DigitalCode.from_string("01000000"), 3.0, 1.0))
+@example((_scfg(base=TdacConfig(q=8, t_w=LN2, tau2=1.0, v_set=1e307), baseline=1.79e308),
+          LeakConfig(tau1=1.0), DigitalCode.from_string("11111111"), 12.0, 0.5))
+@example((_scfg(), LeakConfig(tau1=1.0, v0=-0.0), DigitalCode.from_string("10001111"), None, None))
+def test_signed_waveform_equals_the_reference_bit_for_bit(case):
+    expected = _run_bytes(_simulate_signed_leaky_reference, *case)
+    assert _run_bytes(simulate_signed_leaky, *case) == expected
