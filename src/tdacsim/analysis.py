@@ -10,18 +10,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TdacConfig, _require_curve_width, _slot_weights, _weights_at, code_sums
+from .core import LN2, TdacConfig, _require_curve_width, _slot_weights, code_sums
 from .ode import Waveform, _alpha_model, _dual_model, peak_of
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section search stops once its bracket is this fraction of tau2
-_CALIBRATION_REL_TOL = 1e-7
-# the objective divides by 2^q - 1, which a float holds exactly up to here
-_CALIBRATION_MAX_BITS = 53
+# the calibrated width must lie this fraction of tau2 inside the search bounds
+_CALIBRATION_MARGIN = 1e-6
 
 
 class BracketingError(ValueError):
-    """The search bounds do not bracket an interior minimum."""
+    """The search bounds do not hold the minimal-|INL| width ln 2 * tau2
+    clear of both ends."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,35 +326,6 @@ def fit_waveform(waveform: Waveform, model: str, max_iterations: int = 200) -> F
     )
 
 
-def _max_abs_inl(weights: tuple[float, ...]) -> float:
-    # max |INL| of the curve of a converter with these slot weights (MSB slot
-    # first), from the weights alone. The curve starts at 0.0 and ends at the
-    # left fold of the weights, and INL(c) = sum_k b_k (w_k / step - 2^k) is
-    # linear in the bits of c, so its extremes are the sum of the positive
-    # terms and of the negative ones
-    total = 0.0
-    for w in weights:
-        total += w
-    n = 1 << len(weights)
-    if total == 0.0:
-        raise ValueError("degenerate flat curve: endpoint step is zero")
-    if not math.isfinite(total):
-        raise ValueError("slot weights overflow: v_set * tau2 / c_out is too large")
-    step = total / (n - 1)
-    # the same guard as linearity_report: the spread of a leak-free curve is
-    # its last entry
-    if step == 0.0 or total / step > sys.float_info.max / n:
-        raise ValueError("endpoint step too small for the spread of the curve")
-    above = below = 0.0
-    for k, w in enumerate(reversed(weights)):
-        d = w / step - (1 << k)
-        if d > 0.0:
-            above += d
-        else:
-            below -= d
-    return max(above, below)
-
-
 def calibrate_pulse_width(
     tau2: float,
     q: int,
@@ -364,16 +333,13 @@ def calibrate_pulse_width(
     v_set: float = 1.0,
     c_out: float = 1.0,
 ) -> float:
-    """Pulse width minimizing the transfer curve's max |INL|.
+    """Pulse width minimizing the transfer curve's max |INL|: ln 2 * tau2.
 
-    Golden-section search over the bounds; the objective is V-shaped around
-    its zero-INL optimum, so the search localizes tightly. Each evaluation
-    takes max |INL| straight from the q slot weights in O(q), without
-    building the 2^q-entry curve, so q may run up to 53 (2^q - 1 must be
-    exact in a float); the ``tdac calibrate`` command stays at q <= 16,
-    because it also prints the enumerated curve's max |INL|. A result
-    pinned against either bound means the bounds do not bracket the
-    optimum and a BracketingError is raised.
+    Adjacent slot weights differ by the factor exp(t_w / tau2), so the
+    weights are exactly binary, and max |INL| is 0, at t_w = ln 2 * tau2
+    and at no other width, for every q >= 2, ``v_set`` and ``c_out``; the
+    result is that float, exactly. ``search_bounds`` must hold it at least
+    1e-6 * tau2 inside both ends, or a BracketingError is raised.
     """
     lo, hi = (float(x) for x in search_bounds)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -386,34 +352,10 @@ def calibrate_pulse_width(
     q = operator.index(q)
     if q < 2:
         raise ValueError("calibration needs at least two bits")
-    if q > _CALIBRATION_MAX_BITS:
-        raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
-
-    # one converter for the whole search: it validates v_set and c_out, and
-    # every trial width in [lo, hi] is valid too, so only t_w / tau2 varies
-    config = TdacConfig(q=q, t_w=lo, tau2=tau2, v_set=v_set, c_out=c_out)
-
-    def objective(tw: float) -> float:
-        return _max_abs_inl(_weights_at(config, tw / tau2))
-
-    tol = _CALIBRATION_REL_TOL * tau2
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    best = 0.5 * (a + b)
-    if best - lo < 10.0 * tol or hi - best < 10.0 * tol:
-        raise BracketingError(
-            "search converged onto a bound; the bounds do not bracket "
-            "an interior minimum"
-        )
-    return best
+    t_w = LN2 * tau2
+    # refuses a bad v_set or c_out with the TdacConfig message
+    TdacConfig(q=q, t_w=t_w, tau2=tau2, v_set=v_set, c_out=c_out)
+    margin = _CALIBRATION_MARGIN * tau2
+    if not (t_w - lo >= margin and hi - t_w >= margin):
+        raise BracketingError("the bounds do not bracket the minimum at ln 2 * tau2")
+    return t_w

@@ -132,8 +132,6 @@ def _leak(params) -> LeakConfig:
 
 
 def _run_transfer(params):
-    if params["signed"] and params["engine"] == "quadrature":
-        raise UsageError("the signed model has no quadrature engine")
     config = _converter(params, params["q"], _resolve_tw(params, "transfer"))
     if params["signed"]:
         curve = signed_transfer_curve(config)
@@ -349,7 +347,7 @@ _COMMANDS = {
     "waveform": (_run_waveform, "leaky-mode output waveform for one code"),
     "reproduce": (_run_reproduce, "emit the data files behind one figure"),
     "fit": (_run_fit, "fit a synaptic-shape model to a t,v CSV"),
-    "calibrate": (_run_calibrate, "search the pulse width with minimal |INL|"),
+    "calibrate": (_run_calibrate, "the pulse width with minimal |INL|: ln 2 * tau2"),
     "sweep-ratio": (_run_sweep_ratio, None),
     "sweep-code": (_run_sweep_code, None),
 }
@@ -376,7 +374,10 @@ class Param:
     """A parameter of some commands: flag ``--name`` (dashes for underscores)
     unless positional, config-file key ``key``; ``conv`` and ``choices`` apply
     to flag and file values alike. A ``required`` parameter has no default:
-    a run without a value for it, or with an empty list, is a usage error."""
+    a run without a value for it, or with an empty list, is a usage error.
+    A parameter that ``needs`` a (name, value) pair is read only when the
+    parameter so named has that value: a flag or file value other than the
+    default is a usage error otherwise."""
 
     name: str
     conv: Callable[[str], object]
@@ -387,6 +388,7 @@ class Param:
     help: str | None = None
     positional: bool = False
     required: bool = False
+    needs: tuple[str, object] | None = None
 
     def read(self, value: str, where: str) -> object:
         try:
@@ -432,15 +434,16 @@ _PARAMS = (
     Param("t_end", float, None, "sampling.t_end", _LEAK),
     Param("dt_out", float, None, "sampling.dt_out", _LEAK),
     Param("dt", float, None, "sampling.dt", ("waveform",),
-          help="integration step for --engine numeric"),
+          help="integration step for --engine numeric", needs=("engine", "numeric")),
     Param("engine", str, "analytic", "engine", ("waveform",), ("analytic", "numeric")),
     Param("engine", str, "closed-form", "engine", ("transfer",), ("closed-form", "quadrature")),
-    Param("steps_per_slot", int, 256, "sampling.steps_per_slot", ("transfer",)),
+    Param("steps_per_slot", int, 256, "sampling.steps_per_slot", ("transfer",),
+          needs=("engine", "quadrature")),
     Param("signed", _parse_bool, False, "signed.enabled", ("transfer",),
-          help="use the eight-bit sign+magnitude model"),
-    Param("gain_pos", float, 1.0, "signed.gain_pos", ("transfer",)),
-    Param("gain_neg", float, 1.0, "signed.gain_neg", ("transfer",)),
-    Param("baseline", float, 0.0, "signed.baseline", ("transfer",)),
+          help="use the eight-bit sign+magnitude model", needs=("engine", "closed-form")),
+    Param("gain_pos", float, 1.0, "signed.gain_pos", ("transfer",), needs=("signed", True)),
+    Param("gain_neg", float, 1.0, "signed.gain_neg", ("transfer",), needs=("signed", True)),
+    Param("baseline", float, 0.0, "signed.baseline", ("transfer",), needs=("signed", True)),
     Param("ratios", _list_of(float), None, "sweep.ratios", ("sweep-ratio",), required=True),
     Param("codes", _list_of(str), None, "sweep.codes", ("sweep-code",), required=True),
     Param("input", str, None, "input", ("fit",), help="CSV file with header t,v", required=True),
@@ -570,6 +573,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     for param in rows:
         if param.required and params[param.name] in (None, []):
             raise UsageError(f"{command} needs {param.key}")
+        # only a flag or a file line sets a value other than the default
+        if param.needs is not None and params[param.name] != param.default:
+            name, value = param.needs
+            if params[name] != value:
+                key = next(row.key for row in rows if row.name == name)
+                raise UsageError(f"{param.key} needs {key}={_text(value)}")
     files, pairs, status = _COMMANDS[command][0](params)
     _emit(Path(args.out or file_out or "."), files, pairs)
     return status

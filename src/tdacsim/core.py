@@ -105,14 +105,11 @@ def _require_finite(v: float) -> float:
 
 
 def _slot_weights(config: TdacConfig) -> tuple[float, ...]:
-    return _weights_at(config, config.t_w / config.tau2)
-
-
-def _weights_at(config: TdacConfig, r: float) -> tuple[float, ...]:
-    # weight of slot k at t_w / tau2 = r: the integral of the drive over
-    # [k t_w, (k+1) t_w] divided by c_out, scale (e_k - e_(k+1)) with
-    # e_k = exp(-k r), each of the q + 1 exponentials computed once. e_0 is
+    # weight of slot k: the integral of the drive over [k t_w, (k+1) t_w]
+    # divided by c_out, scale (e_k - e_(k+1)) with e_k = exp(-k r) and
+    # r = t_w / tau2, each of the q + 1 exponentials computed once. e_0 is
     # exp(0.0 * r): NaN, not 1.0, when r overflowed to inf
+    r = config.t_w / config.tau2
     scale = config.v_set * config.tau2 / config.c_out
     weights = []
     e_prev = math.exp(0.0 * r)

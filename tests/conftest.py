@@ -109,21 +109,6 @@ def slot_value_calls(monkeypatch):
 
 
 @pytest.fixture
-def calibration_calls(monkeypatch):
-    """Count the curve work and the objective evaluations of a calibration.
-
-    The objective takes max |INL| from the slot weights, so a calibration
-    that builds a transfer curve or a linearity report has fallen back to
-    enumerating all 2^q codes.
-    """
-    counts = Counter()
-    for name in ("transfer_curve", "linearity_report", "_max_abs_inl"):
-        _count_calls(monkeypatch, counts, analysis, name)
-    _count_calls(monkeypatch, counts, core, "code_sums")
-    return counts
-
-
-@pytest.fixture
 def reseed_calls(monkeypatch):
     """Count the log-grid reseeds of the fits a test makes."""
     counts = Counter()

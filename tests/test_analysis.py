@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import itertools
 import math
-import operator
 import sys
 import unittest.mock
 
@@ -35,7 +34,6 @@ from tdacsim import (
     simulate_leaky,
     transfer_curve,
 )
-from tdacsim.analysis import _CALIBRATION_MAX_BITS, _CALIBRATION_REL_TOL, _INV_PHI, _max_abs_inl
 from tdacsim.core import _slot_quadratures, _slot_weights, code_sums
 
 
@@ -909,8 +907,7 @@ def test_calibration_across_scales():
 
 
 def test_calibration_has_no_tolerance_parameter():
-    # the stopping tolerance is a module constant: a NaN tolerance would end
-    # the search at once and return the bracket midpoint as a calibrated width
+    # the width is exact, so there is no tolerance to pass
     with pytest.raises(TypeError):
         calibrate_pulse_width(1.0, 8, (0.3, 1.2), 1.0, 1.0, float("nan"))
 
@@ -924,15 +921,23 @@ def test_calibration_rejects_non_bracketing_bounds():
         calibrate_pulse_width(1.0, 8, (1.2, 0.8))
 
 
-@pytest.mark.parametrize("q", [17, 32, 53])
+def test_calibration_margin_is_a_millionth_of_tau2():
+    # at tau2 = 1e6 the margin is 1.0, and t_w -/+ 1.0 are exact floats: the
+    # bounds at exactly the margin bracket the width, one ulp further in not
+    tau2 = 1e6
+    t_w = LN2 * tau2
+    lo, hi = t_w - 1.0, t_w + 1.0
+    assert (1e-6 * tau2, t_w - lo, hi - t_w) == (1.0, 1.0, 1.0)
+    assert calibrate_pulse_width(tau2, 8, (lo, hi)) == t_w
+    message = r"^the bounds do not bracket the minimum at ln 2 \* tau2$"
+    for bounds in ((math.nextafter(lo, hi), hi), (lo, math.nextafter(hi, lo))):
+        with pytest.raises(BracketingError, match=message):
+            calibrate_pulse_width(tau2, 8, bounds)
+
+
+@pytest.mark.parametrize("q", [17, 32, 53, 54, 64, 1000])
 def test_calibration_past_the_curve_width_limit(q):
-    assert calibrate_pulse_width(2.5, q, (1.0, 3.0)) == pytest.approx(2.5 * LN2, abs=1e-6)
-
-
-def test_calibration_rejects_q_past_float_exact_code_count():
-    # 2^q - 1 divides the endpoint span; from q = 54 on a float cannot hold it
-    with pytest.raises(ValueError, match="q <= 53"):
-        calibrate_pulse_width(2.5, 54, (1.0, 3.0))
+    assert calibrate_pulse_width(2.5, q, (1.0, 3.0)) == 2.5 * LN2
 
 
 def test_calibration_rejects_non_integral_q():
@@ -952,15 +957,43 @@ def test_calibration_rejects_bad_tau2_before_searching(tau2):
         calibrate_pulse_width(tau2, 8, (0.3, 1.2))
 
 
-def test_calibration_rejects_overflowing_slot_weights():
-    with pytest.raises(ValueError, match="slot weights overflow"):
-        calibrate_pulse_width(1.0, 8, (0.3, 1.2), v_set=1e300, c_out=1e-10)
+@pytest.mark.parametrize("name", ["v_set", "c_out"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_calibration_rejects_a_bad_converter_before_searching(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        calibrate_pulse_width(1.0, 8, (0.3, 1.2), **{name: bad})
 
 
-# Reference for calibration: the search as it was when its objective built the
-# whole 2^q transfer curve and its linearity report at every step, kept
-# verbatim. The O(q) objective must steer the search onto the same width, to
-# the last bit.
+@st.composite
+def _bracketing_cases(draw):
+    tau2 = draw(_log_uniform(1e-3, 1e3))
+    bounds = draw(_log_uniform(1e-9, 0.69)) * tau2, draw(_log_uniform(0.7, 50.0)) * tau2
+    v_set, c_out = draw(_log_uniform(1e-3, 1e3)), draw(_log_uniform(1e-3, 1e3))
+    return tau2, draw(st.integers(2, 64)), bounds, v_set, c_out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bracketing_cases())
+def test_calibration_is_ln2_tau2_bit_for_bit(case):
+    tau2 = case[0]
+    assert calibrate_pulse_width(*case) == LN2 * tau2
+
+
+# Oracle for calibration: a golden-section search for the minimum of the
+# enumerated curve's max |INL|, as the library ran it when its objective built
+# the whole 2^q transfer curve and its linearity report at every step. The
+# closed form must lie within the search's stopping tolerance of the width it
+# finds, with an enumerated max |INL| no higher.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the search stops once its bracket is this fraction of tau2
+_CALIBRATION_REL_TOL = 1e-7
+
+
+def _enumerated_max_abs_inl(tw, tau2, q, v_set=1.0, c_out=1.0):
+    cfg = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
+    return linearity_report(transfer_curve(cfg)).max_abs_inl
+
 
 def _enumerated_calibrate_pulse_width(
     tau2: float,
@@ -980,8 +1013,7 @@ def _enumerated_calibrate_pulse_width(
         raise ValueError("calibration needs at least two bits")
 
     def objective(tw: float) -> float:
-        cfg = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
-        return linearity_report(transfer_curve(cfg)).max_abs_inl
+        return _enumerated_max_abs_inl(tw, tau2, q, v_set, c_out)
 
     tol = _CALIBRATION_REL_TOL * tau2
     a, b = lo, hi
@@ -1006,13 +1038,29 @@ def _enumerated_calibrate_pulse_width(
     return best
 
 
+def _width_or_error_type(calibrate, *args):
+    try:
+        return calibrate(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _assert_oracle_agrees(tau2, q, bounds, v_set=1.0, c_out=1.0):
+    args = (tau2, q, bounds, v_set, c_out)
+    found = _width_or_error_type(_enumerated_calibrate_pulse_width, *args)
+    got = _width_or_error_type(calibrate_pulse_width, *args)
+    if isinstance(found, type):
+        assert got is found
+        return
+    assert abs(got - found) <= _CALIBRATION_REL_TOL * tau2
+    inl = _enumerated_max_abs_inl(got, tau2, q, v_set, c_out)
+    assert inl <= _enumerated_max_abs_inl(found, tau2, q, v_set, c_out)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 10, 12, 14, 16])
 @pytest.mark.parametrize("tau2", [1e-3, 0.37, 1.0, 2.5, 40.0])
 def test_calibration_equals_enumerated_objective(tau2, q):
-    bounds = (0.4 * tau2, 1.1 * tau2)
-    assert calibrate_pulse_width(tau2, q, bounds) == _enumerated_calibrate_pulse_width(
-        tau2, q, bounds
-    )
+    _assert_oracle_agrees(tau2, q, (0.4 * tau2, 1.1 * tau2))
 
 
 # (q, tau2, lo, hi) of every calibrate command in the benchmark's cli catalogue
@@ -1028,96 +1076,7 @@ _CLI_CALIBRATIONS = [
 
 @pytest.mark.parametrize("q, tau2, lo, hi", _CLI_CALIBRATIONS)
 def test_cli_catalogue_calibrations_equal_enumerated_objective(q, tau2, lo, hi):
-    assert calibrate_pulse_width(tau2, q, (lo, hi)) == _enumerated_calibrate_pulse_width(
-        tau2, q, (lo, hi)
-    )
-
-
-@pytest.mark.parametrize("v_set, c_out, match", [
-    (1e-320, 1e10, "endpoint step is zero"),  # every slot weight underflows to zero
-    (1e-322, 1.0, "too small"),  # a subnormal span whose step rounds to zero
-])
-def test_calibration_step_guards_match_the_report(v_set, c_out, match):
-    for calibrate in (calibrate_pulse_width, _enumerated_calibrate_pulse_width):
-        with pytest.raises(ValueError, match=match):
-            calibrate(1.0, 8, (0.3, 1.2), v_set=v_set, c_out=c_out)
-
-
-@pytest.mark.parametrize("name", ["v_set", "c_out"])
-@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
-def test_calibration_rejects_a_bad_converter_before_searching(name, bad, calibration_calls):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
-        calibrate_pulse_width(1.0, 8, (0.3, 1.2), **{name: bad})
-    assert calibration_calls["_max_abs_inl"] == 0
-
-
-# Reference for the search: calibrate_pulse_width as it was when its objective
-# built and validated a TdacConfig at every evaluation, kept verbatim. One
-# config for the whole search must give the same width, or the same error.
-
-def _per_evaluation_config_calibrate_pulse_width(
-    tau2: float,
-    q: int,
-    search_bounds: tuple[float, float],
-    v_set: float = 1.0,
-    c_out: float = 1.0,
-) -> float:
-    lo, hi = (float(x) for x in search_bounds)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("search bounds must be finite")
-    if not (0.0 < lo < hi):
-        raise ValueError("search bounds must satisfy 0 < lo < hi")
-    tau2 = float(tau2)
-    if not (math.isfinite(tau2) and tau2 > 0.0):
-        raise ValueError(f"tau2 must be finite and positive, got {tau2!r}")
-    q = operator.index(q)
-    if q < 2:
-        raise ValueError("calibration needs at least two bits")
-    if q > _CALIBRATION_MAX_BITS:
-        raise ValueError(f"calibration is limited to q <= {_CALIBRATION_MAX_BITS}")
-
-    def objective(tw: float) -> float:
-        config = TdacConfig(q=q, t_w=tw, tau2=tau2, v_set=v_set, c_out=c_out)
-        return _max_abs_inl(_slot_weights(config))
-
-    tol = _CALIBRATION_REL_TOL * tau2
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    best = 0.5 * (a + b)
-    if best - lo < 10.0 * tol or hi - best < 10.0 * tol:
-        raise BracketingError(
-            "search converged onto a bound; the bounds do not bracket "
-            "an interior minimum"
-        )
-    return best
-
-
-def _calibration_outcome(calibrate, holder, *args):
-    # the slot weights of every evaluation, in order, and the width or error:
-    # the width alone would hide an objective off by an ulp
-    weights = []
-    inner = holder._max_abs_inl
-
-    def recorded(w):
-        weights.append(np.array(w).tobytes())
-        return inner(w)
-
-    with unittest.mock.patch.object(holder, "_max_abs_inl", recorded):
-        try:
-            return weights, np.float64(calibrate(*args)).tobytes()
-        except ValueError as exc:
-            return weights, (type(exc).__name__, str(exc))
+    _assert_oracle_agrees(tau2, q, (lo, hi))
 
 
 @st.composite
@@ -1135,21 +1094,5 @@ def _calibration_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_calibration_cases())
-def test_calibration_equals_the_per_evaluation_config_search(case):
-    expected = _calibration_outcome(
-        _per_evaluation_config_calibrate_pulse_width, sys.modules[__name__], *case
-    )
-    assert _calibration_outcome(calibrate_pulse_width, analysis, *case) == expected
-
-
-def test_calibration_builds_no_curve(calibration_calls, monkeypatch):
-    got = calibrate_pulse_width(1.0, 12, (0.3, 1.2))
-    assert calibration_calls["transfer_curve"] == 0
-    assert calibration_calls["code_sums"] == 0
-    assert calibration_calls["linearity_report"] == 0
-    evaluations = calibration_calls["_max_abs_inl"]
-    # the enumerated search builds one curve per objective evaluation; route
-    # its by-name call through the counted function
-    monkeypatch.setitem(globals(), "transfer_curve", analysis.transfer_curve)
-    assert got == _enumerated_calibrate_pulse_width(1.0, 12, (0.3, 1.2))
-    assert calibration_calls["transfer_curve"] == evaluations > 0
+def test_calibration_agrees_with_the_search_oracle(case):
+    _assert_oracle_agrees(*case)

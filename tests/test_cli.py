@@ -191,9 +191,61 @@ def test_transfer_signed_quadrature_is_usage_error(config, tmp_path, capsys):
         argv = ["--config", tmp_path / "exp.cfg"]
     assert run_cli([*argv, "--out", tmp_path]) == 2
     assert capsys.readouterr().err == (
-        "usage error: the signed model has no quadrature engine\n"
+        "usage error: signed.enabled needs engine=closed-form\n"
     )
     assert not (tmp_path / "transfer.csv").exists()
+
+
+# a parameter the chosen mode does not read: its flag, its file line and the
+# usage error naming the (parameter, value) pair it needs
+IGNORED_PARAMS = {
+    "steps-per-slot": (["transfer", "--q", 6, "--ratio", LN2, "--steps-per-slot", 16],
+                       "experiment=transfer\nbase.q=6\nbase.ratio=0.7\nsampling.steps_per_slot=16\n",
+                       "sampling.steps_per_slot needs engine=quadrature"),
+    "gain-pos": (["transfer", "--q", 6, "--ratio", LN2, "--gain-pos", 2, "--baseline", 5],
+                 "experiment=transfer\nbase.q=6\nbase.ratio=0.7\nsigned.gain_pos=2\n"
+                 "signed.baseline=5\n",
+                 "signed.gain_pos needs signed.enabled=true"),
+    "gain-neg": (["transfer", "--ratio", LN2, "--gain-neg", 0.5],
+                 "experiment=transfer\nbase.ratio=0.7\nsigned.gain_neg=0.5\n",
+                 "signed.gain_neg needs signed.enabled=true"),
+    "baseline": (["transfer", "--ratio", LN2, "--baseline", 5],
+                 "experiment=transfer\nbase.ratio=0.7\nsigned.baseline=5\n",
+                 "signed.baseline needs signed.enabled=true"),
+    "dt": (["waveform", "--code", "1101", "--ratio", 0.4, "--dt", 0.01],
+           "experiment=waveform\ncode=1101\nbase.ratio=0.4\nsampling.dt=0.01\n",
+           "sampling.dt needs engine=numeric"),
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("case", sorted(IGNORED_PARAMS))
+def test_ignored_parameter_is_usage_error(case, source, tmp_path, capsys):
+    flags, text, message = IGNORED_PARAMS[case]
+    if source == "flags":
+        argv = flags
+    else:
+        (tmp_path / "exp.cfg").write_text(text)
+        argv = ["--config", tmp_path / "exp.cfg"]
+    assert run_cli([*argv, "--out", tmp_path / "out"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--steps-per-slot", 256],
+    ["--gain-pos", 1.0, "--gain-neg", 1, "--baseline", 0],
+    ["--engine", "closed-form"],
+], ids=["steps-per-slot", "gains", "engine"])
+def test_ignored_parameter_at_its_default_is_accepted(extra, tmp_path, capsys):
+    argv = ["transfer", "--q", 6, "--ratio", LN2]
+    assert run_cli([*argv, "--out", tmp_path / "plain"]) == 0
+    plain = capsys.readouterr().out.replace(str(tmp_path / "plain"), "@")
+    assert run_cli([*argv, *extra, "--out", tmp_path / "extra"]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path / "extra"), "@") == plain
+    csv = "transfer.csv"
+    assert (tmp_path / "extra" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
 
 
 def test_transfer_signed_curve(tmp_path, capsys):
@@ -506,13 +558,13 @@ def test_fit_reports_convergence_of_the_kept_run(tmp_path, capsys):
 def test_calibrate_finds_ln2(capsys):
     assert run_cli(["calibrate", "--tau2", 1, "--q", 8, "--lo", 0.3, "--hi", 1.2]) == 0
     got = float(capsys.readouterr().out.split("t_w=")[1].splitlines()[0])
-    assert got == pytest.approx(LN2, rel=1e-6)
+    assert got == LN2
 
 
 def test_calibrate_scales(capsys):
     assert run_cli(["calibrate", "--tau2", 2, "--q", 8, "--lo", 0.6, "--hi", 2.4]) == 0
     got = float(capsys.readouterr().out.split("t_w=")[1].splitlines()[0])
-    assert got == pytest.approx(2 * LN2, abs=2e-6)
+    assert got == 2 * LN2
 
 
 def test_calibrate_non_bracketing_exits_1(capsys):
