@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,6 +173,21 @@ def _read_waveform_csv(path) -> Waveform:
         raise ValueError("line 1: empty input file")
     if lines[0].strip() != "t,v":
         raise ValueError("line 1: expected header 't,v'")
+    # numpy's C reader converts each field as float() does; a body it refuses
+    # or warns about (no data rows) goes to the line walk, which names the line
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == 2:
+            return Waveform(rows[:, 0], rows[:, 1])
+    except (ValueError, Warning):
+        pass
+    return _walk_waveform_rows(lines)
+
+
+def _walk_waveform_rows(lines) -> Waveform:
+    # the rows after the header, line by line: the first bad line is named
     times: list[float] = []
     values: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):

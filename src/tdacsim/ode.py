@@ -71,6 +71,19 @@ class Waveform:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _own(cls, times: np.ndarray, values: np.ndarray) -> Waveform:
+        # a waveform that keeps an engine's fresh float arrays without a copy:
+        # the times come from _sample_times, so only the values are checked
+        if not np.isfinite(values).all():
+            raise ValueError("waveform times and values must be finite")
+        times.flags.writeable = False
+        values.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        return self
+
     def __len__(self) -> int:
         return self.times.size
 
@@ -86,7 +99,8 @@ def _advance(a, dt, on, v_set: float, tau1: float, tau2: float):
     # decay factor and driven increment dt into stretches that start at a, in the
     # form of ``leaky_voltage``. The increment is computed only where the gate
     # is on; elsewhere it is -0.0, so an undriven increment keeps the sign of a
-    # zero state (x + -0.0 == x for every float x)
+    # zero state (x + -0.0 == x for every float x). The caller holds the scope
+    # that raises on overflow
     lam = 1.0 / tau1 - 1.0 / tau2
     slow = tau2 if lam > 0.0 else tau1
     dt_on = dt[on]
@@ -97,9 +111,7 @@ def _advance(a, dt, on, v_set: float, tau1: float, tau2: float):
         tilt = np.exp(a[on] / -tau2 - dt_on / slow)
         x = -abs(lam) * dt_on
     drive = np.full(dt.size, -0.0)
-    # v_set * dt is the one product here that can pass the float range
-    with np.errstate(over="raise"):
-        drive[on] = v_set * dt_on * tilt * _phi(x)
+    drive[on] = v_set * dt_on * tilt * _phi(x)
     return decay, drive
 
 
@@ -149,10 +161,11 @@ def leaky_voltage(
     ``_drive_intervals``. It computes the increment only where the gate is
     on; an undriven one is -0.0, which leaves every state, a signed zero
     included, as it is. A scalar pass V(b) = V(a) d + g chains the
-    stretch states. Each sample finds its stretch by binary search over the
-    stretch ends (a sample on an edge belongs to the later stretch). A value
-    past the float range, v_set (t-a) or the sum of state and drive at a
-    sample, raises ``FloatingPointError``. The inputs are checked once, here.
+    stretch states. The samples in each stretch are counted by one binary
+    search per stretch end in the sample times (a sample on an edge belongs
+    to the later stretch). A value past the float range, v_set (t-a) or the
+    sum of state and drive at a sample, raises ``FloatingPointError``. The
+    inputs are checked once, here.
     """
     _require_matching_width(config, code)
     t = np.asarray(times, dtype=float)
@@ -171,34 +184,45 @@ def _leaky_values(config: TdacConfig, leak: LeakConfig, code: DigitalCode, t: np
     # leaky_voltage past its checks: a code of the converter's width, valid times
     starts, ends, gates = _drive_intervals(config, code, float(t[-1]))
     n = starts.size - 1
-    # the stretch of each sample; a sample on an edge belongs to the later one
-    k = np.searchsorted(ends[:-1], t, side="right")
+    # the samples in each stretch, from the number before each end; a sample
+    # on an edge belongs to the later stretch, and every sample is before the
+    # last end (numpy buffers the overlapping operands of the subtraction)
+    counts = np.searchsorted(t, ends)
+    counts[-1] = t.size
+    counts[1:] -= counts[:-1]
     # one advance for the ends of all stretches but the last, whose state is
     # never sampled, and for the samples after them
-    idx = np.concatenate((np.arange(n), k))
-    a = starts[idx]
-    decay, drive = _advance(a, np.concatenate((ends[:-1], t)) - a, gates[idx], config.v_set,
-                            leak.tau1, config.tau2)
-    s = leak.v0
-    states = [s]
-    for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
-        s = s * d + g
-        states.append(s)
-    # a state past the float range meets a zero decay here as inf * 0, and raises
+    a = np.concatenate((starts[:n], np.repeat(starts, counts)))
+    on = np.concatenate((gates[:n], np.repeat(gates, counts)))
+    # v_set * dt is the one product here that can pass the float range, and a
+    # state past it meets a zero decay in the sum as inf * 0; both raise
     with np.errstate(over="raise", invalid="raise"):
-        return np.array(states)[k] * decay[n:] + drive[n:]
+        decay, drive = _advance(a, np.concatenate((ends[:-1], t)) - a, on, config.v_set,
+                                leak.tau1, config.tau2)
+        s = leak.v0
+        states = [s]
+        for d, g in zip(decay[:n].tolist(), drive[:n].tolist()):
+            s = s * d + g
+            states.append(s)
+        return np.repeat(states, counts) * decay[n:] + drive[n:]
 
 
 def _positive(name: str, value) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive")
+        raise ValueError(f"{name} must be finite and positive")
     return value
 
 
 def default_t_end(config: TdacConfig, leak: LeakConfig) -> float:
-    """Conversion window plus ten leak/drive time constants of decay."""
-    return 10.0 * max(leak.tau1, config.tau2) + config.q * config.t_w
+    """Conversion window plus ten leak/drive time constants of decay.
+
+    Raises ``ValueError`` when that window overflows a float.
+    """
+    t_end = 10.0 * max(leak.tau1, config.tau2) + config.q * config.t_w
+    if not math.isfinite(t_end):
+        raise ValueError("the default t_end, 10 * max(tau1, tau2) + q * t_w, overflows a float")
+    return t_end
 
 
 def _default_dt_out(t_end: float) -> float:
@@ -207,8 +231,8 @@ def _default_dt_out(t_end: float) -> float:
 
 def _sample_times(config: TdacConfig, leak: LeakConfig, t_end, dt_out) -> np.ndarray:
     # simulate_leaky's sample times: the window and the step, checked, then the
-    # sample budget; a finite, sorted, non-negative merge of the dt_out grid,
-    # the slot edges and t_end itself
+    # sample budget; a finite, strictly increasing, non-negative merge of the
+    # dt_out grid, the slot edges and t_end itself
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
     dt_out = _positive("dt_out", _default_dt_out(t_end) if dt_out is None else dt_out)
 
@@ -240,13 +264,16 @@ def simulate_leaky(
     Slot boundaries are always sampled so that alternating-code ripple is
     never aliased away. Values come from the exact propagator, not from a
     discretization; after the last slot the output decays as a pure
-    exponential in tau1. The times built here are finite, sorted and
-    non-negative, so they skip ``leaky_voltage``'s checks; ``Waveform``
-    checks the result once (an overflowed state reaches it as inf).
+    exponential in tau1. The times built here are finite, strictly
+    increasing and non-negative, so they skip ``leaky_voltage``'s checks.
+    The returned waveform keeps the engine's arrays without a copy, and only
+    its values are checked (an overflowed state reaches that check as inf).
+    A product past the float range raises ``FloatingPointError`` in the
+    engine's one raise scope.
     """
     times = _sample_times(config, leak, t_end, dt_out)
     _require_matching_width(config, code)
-    return Waveform(times, _leaky_values(config, leak, code, times))
+    return Waveform._own(times, _leaky_values(config, leak, code, times))
 
 
 def simulate_leaky_numeric(

@@ -97,6 +97,9 @@ def simulate_signed_leaky(
     Only the seven magnitude bits gate drive slots; the sign bit flips
     the polarity of the drive (and of the initial condition), so equal-gain
     waveforms of opposite sign are exact mirror images about the baseline.
+    As in ``simulate_leaky``, the engine's one scope raises
+    ``FloatingPointError`` on a product past the float range, and the
+    returned waveform keeps the engine's arrays, with only its values checked.
     """
     positive, magnitude = _split_code(code)
     gain = config.gain_pos if positive else config.gain_neg
@@ -113,4 +116,4 @@ def simulate_signed_leaky(
             # over an add that overflows at another sample
             Waveform(times, v)
             raise
-    return Waveform(times, values)
+    return Waveform._own(times, values)

@@ -19,11 +19,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tdacsim import (
@@ -31,6 +32,7 @@ from tdacsim import (
     DigitalCode,
     LeakConfig,
     TdacConfig,
+    Waveform,
     alpha_waveform,
     cli,
     convert_quadrature,
@@ -320,6 +322,30 @@ def test_waveform_numeric_errors_exit_1(argv, message, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+WINDOW_OVERFLOW = "the default t_end, 10 * max(tau1, tau2) + q * t_w, overflows a float"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tw", 1e308], WINDOW_OVERFLOW),
+    (["--tw", 1e308, "--engine", "numeric"], WINDOW_OVERFLOW),
+    (["--tw", 1, "--t-end", "inf"], "t_end must be finite and positive"),
+    (["--tw", 1, "--dt-out", "nan"], "dt_out must be finite and positive"),
+], ids=["analytic", "numeric", "t-end-inf", "dt-out-nan"])
+def test_waveform_window_errors_name_their_cause(argv, message, tmp_path, capsys):
+    # an overflowing default window used to blame a t_end that was never given
+    assert run_cli(["waveform", "--code", "1111", *argv, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_code_window_overflow_is_one_line_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment=sweep-code\nbase.tw=1e308\nsweep.codes=1111,01\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {WINDOW_OVERFLOW}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_waveform_numeric_step_may_span_slots(tmp_path):
     # dt is half a slot: each drive stretch gets its own steps, so the rows
     # stay within RK4's accuracy bound of the exact response
@@ -491,6 +517,108 @@ def test_fit_missing_input_file_exits_1(tmp_path, capsys):
     assert run_cli(["fit", "--input", missing, "--model", "dual"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
+# _read_waveform_csv as it was before it handed the rows to numpy's C reader,
+# kept verbatim: the new reader must give the same times and values to the
+# last bit, or the same error, on every body
+
+def _read_waveform_csv_reference(path) -> Waveform:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        raise ValueError("line 1: empty input file")
+    if lines[0].strip() != "t,v":
+        raise ValueError("line 1: expected header 't,v'")
+    times: list[float] = []
+    values: list[float] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two comma-separated fields")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric row {line!r}") from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"line {lineno}: non-finite value")
+        if times and t <= times[-1]:
+            raise ValueError(f"line {lineno}: time values must be strictly increasing")
+        times.append(t)
+        values.append(v)
+    if not times:
+        raise ValueError("line 2: no data rows")
+    return Waveform(times, values)
+
+
+# text put into a row, or a row put in place of one; the first three are the
+# separators that str.splitlines() splits on and the CSV writer never writes
+CSV_INSERTS = ["\x0c", "\x1c", "\u2028", "#", ",", ",3", " ", "\t"]
+CSV_FIELDS = ["1_0", "\u0661", "inf", "-inf", "nan", "1e400", "-1e400", " 2.5 ", "", "0x10"]
+CSV_ROWS = ["", "   ", "\t", ","]
+
+
+@st.composite
+def csv_bodies(draw):
+    """Rows of increasing %.17g times and values, then a few mutations."""
+    n = draw(st.integers(0, 12))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    rows = ["%.17g,%.17g" % tv for tv in zip(np.cumsum(steps).tolist(), values)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["insert", "field", "row", "repeat", "swap"]))
+        if kind == "row" or i == len(rows):
+            rows.insert(i, draw(st.sampled_from(CSV_ROWS)))
+        elif kind == "insert":
+            j = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:j] + draw(st.sampled_from(CSV_INSERTS)) + rows[i][j:]
+        elif kind == "field":
+            fields = rows[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(CSV_FIELDS))
+            rows[i] = ",".join(fields)
+        elif kind == "repeat" and i > 0:
+            rows[i] = rows[i - 1].split(",")[0] + "," + rows[i].split(",")[-1]
+        elif i > 0:
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+    if draw(st.booleans()):
+        rows = [draw(st.sampled_from(CSV_ROWS[:3])) for _ in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(["t,v", *rows]) + draw(st.sampled_from(["", newline]))
+
+
+def _read_outcome(read, path):
+    try:
+        wf = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return wf.times.tobytes(), wf.values.tobytes()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=csv_bodies())
+@example(body="t,v")
+@example(body="t,v\n\n  \n")
+@example(body="t,v\n0,1\n1_0,2\n")
+@example(body="t,v\n0,1\n1,2 # x\n")
+@example(body="t,v\r\n0,1\r\n\u0661,2\r\n")
+@example(body="t,v\n0,1\n1,2,\n")
+def test_fit_csv_reader_equals_the_line_walk(body, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(body, encoding="utf-8", newline="")
+    # a warning, such as numpy's on a body without data, must not escape
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = _read_outcome(cli._read_waveform_csv, path)
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert new == _read_outcome(_read_waveform_csv_reference, path)
 
 
 @pytest.mark.parametrize("model", ["alpha", "dual"])
@@ -1282,17 +1410,31 @@ def fuzz_value(rng, param):
 
 def fuzz_catalogue(n, seed):
     """n argv of transfer, waveform and calibrate; each row of cli._PARAMS that
-    a command has is given a drawn value with probability 1/2, or always if required."""
+    a command has is given a drawn value with probability 1/2, or always if required.
+    A drawn row whose ``needs`` pair does not hold, defaults counted, is dropped
+    until nothing more drops, so that --signed dropped under --engine quadrature
+    takes the gains with it."""
     rng = random.Random(seed)
     catalogue = []
     for _ in range(n):
         command = rng.choice(["transfer", "waveform", "calibrate"])
-        argv = [command]
-        for param in cli._params_of(command):
+        rows = {param.name: param for param in cli._params_of(command)}
+        drawn = {}
+        for param in rows.values():
             if param.required or rng.random() < 0.5:
-                argv.append("--" + param.name.replace("_", "-"))
-                if param.conv is not cli._parse_bool:
-                    argv.append(fuzz_value(rng, param))
+                drawn[param.name] = True if param.conv is cli._parse_bool else fuzz_value(rng, param)
+        while True:
+            value = {name: drawn.get(name, param.default) for name, param in rows.items()}
+            kept = {name: text for name, text in drawn.items()
+                    if rows[name].needs is None or value[rows[name].needs[0]] == rows[name].needs[1]}
+            if kept == drawn:
+                break
+            drawn = kept
+        argv = [command]
+        for name, text in drawn.items():
+            argv.append("--" + name.replace("_", "-"))
+            if text is not True:
+                argv.append(text)
         catalogue.append(argv)
     return catalogue
 

@@ -56,6 +56,37 @@ def test_waveform_is_immutable():
         wf.values[0] = 5.0
 
 
+def test_public_waveform_copies_its_input():
+    t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, 1.0])
+    wf = Waveform(t, v)
+    t[1], v[1] = 0.5, -7.0
+    assert wf.times.tolist() == [0.0, 1.0, 2.0] and wf.values.tolist() == [0.0, 3.0, 1.0]
+    assert t.flags.writeable and v.flags.writeable
+
+
+def test_simulate_leaky_keeps_the_engine_arrays(monkeypatch):
+    # the engine builds its times strictly increasing and its values fresh, so
+    # the waveform keeps both without the public constructor's copy and checks
+    calls = []
+    check = Waveform.__post_init__
+    monkeypatch.setattr(Waveform, "__post_init__", lambda self: calls.append(check(self)))
+    cfg = TdacConfig(q=4, t_w=0.3, tau2=1.0)
+    wf = simulate_leaky(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(11, 4))
+    assert calls == []
+    for array in (wf.times, wf.values):
+        assert not array.flags.writeable and array.flags.owndata
+    assert not np.shares_memory(wf.times, wf.values)
+    assert (np.diff(wf.times) > 0.0).all()
+
+
+def test_simulate_leaky_overflowed_state_is_the_public_message():
+    # a state past the float range reaches the values as inf
+    cfg = TdacConfig(q=2, t_w=1.0, tau2=1.0, v_set=1e308)
+    with pytest.raises(ValueError, match="^waveform times and values must be finite$"):
+        simulate_leaky(cfg, LeakConfig(tau1=1000.0, v0=1.5e308), DigitalCode.from_int(2, 2),
+                       3.0, 1.0)
+
+
 def test_waveform_peak_tie_breaks_to_earliest():
     wf = Waveform([0.0, 1.0, 2.0], [2.0, 1.0, 2.0])
     assert peak_of(wf) == (0.0, 2.0)
@@ -856,9 +887,9 @@ def test_window_and_steps_must_be_positive(bad):
     cfg = TdacConfig(q=4, t_w=1.0, tau2=1.0)
     leak, code = LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
     for simulate, step in ((simulate_leaky, "dt_out"), (simulate_leaky_numeric, "dt")):
-        with pytest.raises(ValueError, match="^t_end must be positive$"):
+        with pytest.raises(ValueError, match="^t_end must be finite and positive$"):
             simulate(cfg, leak, code, bad, 0.01)
-        with pytest.raises(ValueError, match=f"^{step} must be positive$"):
+        with pytest.raises(ValueError, match=f"^{step} must be finite and positive$"):
             simulate(cfg, leak, code, 2.0, bad)
 
 

@@ -171,6 +171,19 @@ def test_waveform_state_overflow_is_reported_before_the_baseline_add():
         simulate_signed_leaky(cfg, leak, DigitalCode.from_string("11000000"), 3.0, 1.0)
 
 
+@pytest.mark.parametrize("code", ["10110001", "00110001"], ids=["positive", "negative"])
+def test_signed_waveform_keeps_the_engine_arrays(code, monkeypatch):
+    calls = []
+    check = Waveform.__post_init__
+    monkeypatch.setattr(Waveform, "__post_init__", lambda self: calls.append(check(self)))
+    wf = simulate_signed_leaky(_scfg(baseline=0.2), LeakConfig(tau1=1.0, v0=0.1),
+                               DigitalCode.from_string(code), 4.0, 0.05)
+    assert calls == []
+    for array in (wf.times, wf.values):
+        assert not array.flags.writeable and array.flags.owndata
+    assert not np.shares_memory(wf.times, wf.values)
+
+
 # simulate_signed_leaky as it was before it built its waveform from the
 # sample times and the propagator directly, kept verbatim: a checked
 # magnitude waveform from simulate_leaky, then a second Waveform. The new
