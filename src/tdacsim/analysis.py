@@ -40,6 +40,17 @@ class TransferCurve:
         v.flags.writeable = False
         object.__setattr__(self, "outputs", v)
 
+    @classmethod
+    def _own(cls, outputs: np.ndarray) -> TransferCurve:
+        # a curve that keeps an engine's fresh float array of 2^q outputs
+        # without a copy, so only its values are checked
+        if not np.isfinite(outputs).all():
+            raise ValueError("transfer curve outputs must be finite")
+        outputs.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "outputs", outputs)
+        return self
+
     def __len__(self) -> int:
         return self.outputs.size
 
@@ -47,8 +58,7 @@ class TransferCurve:
 def transfer_curve(config: TdacConfig) -> TransferCurve:
     """The full leak-free transfer characteristic, built from the q slot weights."""
     _require_curve_width(config)
-    outputs = code_sums(_slot_weights(config))
-    return TransferCurve(outputs)
+    return TransferCurve._own(code_sums(_slot_weights(config)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,13 +76,198 @@ def _key_values(pairs) -> str:
     return "".join(f"{key}={_text(value)}\n" for key, value in pairs)
 
 
+# CSV rows: the text of "%.17g,%.17g\n", built in numpy from exact digits.
+# A value in the kernel's range is zero or has 1e-6 < |x| < 1e16, so its
+# decimal exponent X lies in -6..15 and 10**(16 - X) is an exact double.
+#
+# Each value's text goes into a field of 48 bytes, NUL where unused: its sign
+# (byte 0), the "0." and zeros of a fixed value below 1 (1-5), digit j of its
+# 17 (6 + 2j) followed by a slot for the point (7 + 2j), an exponent (40-43)
+# and the separator (47). A field is six uint64 words, so each part is ORed
+# in whole words from tables of bytes; no table depends on the byte order.
+
+_POW10 = np.array([float(10**p) for p in range(23)])
+
+
+def _split(a):
+    # Veltkamp: a == hi + lo, each half with at most 26 significant bits
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _words(text) -> np.ndarray:
+    # rows of 8k bytes as rows of k uint64 words
+    return np.ascontiguousarray(text, np.uint8).view(np.uint64)
+
+
+def _field_tables():
+    # By (X + 6) * 17 + L, for the exponent X in -6..16 and the index L of the
+    # last nonzero digit: a mask of the bytes kept and the constant text. Both
+    # are built by slicing alone, so that no ufunc runs at import
+    shown = np.zeros((23, 17, 48), np.uint8)
+    shown[..., 0] = shown[..., 47] = 255
+    text = np.zeros(shown.shape, np.uint8)
+    # %g drops trailing zeros, but not from the integer part of a fixed value
+    digits = shown[..., 6:40:2]
+    for last in range(17):
+        digits[:, last, :last + 1] = 255
+    lead = np.frombuffer(b"0.000", np.uint8)
+    for x in range(17):
+        digits[x + 6, :x + 1, :x + 1] = 255
+        # the point follows the integer part when a nonzero digit follows it
+        text[x + 6, x + 1:, 7 + 2 * x] = ord(".")
+    # a fixed value below 1 has its point in its lead
+    for x in range(-4, 0):
+        text[x + 6, :, 1:2 - x] = lead[:1 - x]
+    # an exponent form has its point after digit 0, when a nonzero digit follows
+    text[:2, 1:, 7] = ord(".")
+    text[:2, :, 40:44] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 1, 4)
+    return _words(shown).reshape(-1, 6), _words(text).reshape(-1, 6)
+
+
+def _group_tables():
+    # By g in 0..9999 with digits d0 d1 d2 d3: the digits in the digit columns
+    # of one word, and for j = 0..3 the index among the 16 digits after the
+    # first of the last nonzero digit of g as their group j (0 when g is 0),
+    # which is 4 j + k + 1 for the last k with d_k > 0
+    spread = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    last = np.zeros((4, 10, 10, 10, 10), np.uint8)
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    for k in range(4):
+        spread[..., 2 * k] = digits[(slice(None),) + (None,) * (3 - k)]
+        for j in range(4):
+            last[(j,) + (slice(None),) * k + (slice(1, None),)] = 4 * j + k + 1
+    return _words(spread).ravel(), last.reshape(4, -1)
+
+
+_SHOWN, _TEXT = _field_tables()
+_SPREAD, _LAST = _group_tables()
+
+
+def _byte_words(column: int, values: bytes) -> np.ndarray:
+    # a word per value, with the value in that byte column and NUL elsewhere
+    words = np.zeros((len(values), 8), np.uint8)
+    words[:, column] = np.frombuffer(values, np.uint8)
+    return _words(words).ravel()
+
+
+_FIRST = _byte_words(6, b"0123456789")
+_SIGN = _byte_words(0, b"\0-")
+_SEPARATORS = _byte_words(7, b",\n")
+# rows per kernel block: the block's arrays bound the memory a CSV takes
+_ROWS = 2048
+
+
+def _scaled(a, p):
+    # Dekker's two-product: hi + lo == a * 10**p exactly, for every a > 0 here
+    hi = a * _POW10.take(p)
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI.take(p), _POW10_LO.take(p)
+    lo = a_hi * b_hi - hi
+    lo += a_hi * b_lo
+    lo += a_lo * b_hi
+    lo += a_lo * b_lo
+    return hi, lo
+
+
+def _divmod(a, b: int):
+    # a // b and a % b; numpy's own divmod is twice as slow on a constant
+    q = a // b
+    return q, a - q * b
+
+
+def _rounded(hi, lo, X):
+    # hi + lo in [1e16, 1e17) as its nearest integer n, ties to even as dtoa
+    # rounds, and the exponent X of the value it scales: hi is an even integer
+    # above 2**53 and |lo| at most half its spacing. An n of 10**17 is 10**16
+    # of the next decade. No double of the kernel's range rounds up that far:
+    # its 17 digits read back as itself, and no fl(10**k) there is below 10**k
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10**17
+    n -= carry * (9 * 10**16)
+    return n, X + carry
+
+
+def _digits(a):
+    """For floats a > 0 with 1e-6 < a < 1e16: the integers n in
+    [10**16, 10**17) and exponents X with n * 10**(X - 16) the value of a
+    rounded to 17 significant digits."""
+    # the clip keeps an X that log10 puts one past either end in the tables
+    x = np.log10(a)
+    X = np.floor(x, out=x).clip(-6, 15, out=x).astype(np.intp)
+    hi, lo = _scaled(a, 16 - X)
+    # log10 can miss by one next to a power of ten: X is the decade of hi + lo,
+    # whose signs against 1e17 and 1e16 the differences below get exactly
+    up = (hi - 1e17) + lo >= 0.0
+    down = (hi - 1e16) + lo < 0.0
+    X += up
+    X -= down
+    fix = np.flatnonzero(up | down)
+    if fix.size:
+        hi[fix], lo[fix] = _scaled(a[fix], 16 - X[fix])
+    return _rounded(hi, lo, X)
+
+
+def _row_bytes(xy) -> np.ndarray:
+    """The rows of an (n, 2) float block of kernel-range values as an
+    (n, 96) uint8 matrix; without its NULs it is the text of
+    ``"%.17g,%.17g\\n"`` for each row."""
+    v = xy.ravel()
+    zero = v == 0.0
+    # a zero goes through as 1.0, so no operation sees it
+    a = np.abs(v)
+    a[zero] = 1.0
+    n, X = _digits(a)
+    first, n = _divmod(n, 10**16)
+    upper, lower = _divmod(n, 10**8)
+    groups = (*_divmod(upper.astype(np.int32), 10**4), *_divmod(lower.astype(np.int32), 10**4))
+    last = np.maximum(np.maximum(_LAST[0].take(groups[0]), _LAST[1].take(groups[1])),
+                      np.maximum(_LAST[2].take(groups[2]), _LAST[3].take(groups[3])))
+    key = (X + 6) * 17 + last
+    words = np.empty((v.size, 6), np.uint64)
+    # a zero has the one digit 1 of 1.0, made 0
+    first -= zero
+    words[:, 0] = _FIRST.take(first) | _SIGN.take(np.signbit(v))
+    for j, group in enumerate(groups, 1):
+        words[:, j] = _SPREAD.take(group)
+    words[:, 5] = np.tile(_SEPARATORS, len(xy))
+    words &= _SHOWN.take(key, axis=0)
+    words |= _TEXT.take(key, axis=0)
+    return words.view(np.uint8).reshape(-1, 96)
+
+
+def _kernel_text(xy) -> str:
+    # equal blocks of at most _ROWS rows, and none for no rows
+    blocks = np.array_split(xy, -(-len(xy) // _ROWS)) if len(xy) else []
+    return b"".join(_row_bytes(block).tobytes().translate(None, b"\0")
+                    for block in blocks).decode("ascii")
+
+
 def _csv_text(header: str, x, y) -> str:
-    # x and y interleaved into one float row list, formatted by one % call;
+    # Exact: Dekker's two-product scales each value to hi + lo == |x| * 10**p
+    # in [1e16, 1e17) with no rounding, and its nearest integer, ties to even,
+    # is the 17-digit rounding that dtoa's correctly rounded %.17g prints.
+    # A row with a value outside the kernel's range is formatted by % itself;
     # %.17g writes an integer code column's 5.0 as 5, as it writes 5
-    xy = np.empty(2 * len(x))
-    xy[0::2] = x
-    xy[1::2] = y
-    return f"{header}\n" + (f"{_NUMBER},{_NUMBER}\n" * len(x)) % tuple(xy.tolist())
+    xy = np.empty((len(x), 2))
+    xy[:, 0] = x
+    xy[:, 1] = y
+    a = np.abs(xy)
+    fast = ((a > 1e-6) & (a < 1e16)) | (xy == 0.0)
+    fast = fast[:, 0] & fast[:, 1]
+    if fast.all():
+        return f"{header}\n" + _kernel_text(xy)
+    # every row's line in place, then one join
+    rest = xy[~fast]
+    lines = np.empty(len(xy), object)
+    lines[fast] = _kernel_text(xy[fast]).splitlines(True)
+    text = (f"{_NUMBER},{_NUMBER}\n" * len(rest)) % tuple(rest.ravel().tolist())
+    lines[~fast] = text.splitlines(True)
+    return f"{header}\n" + "".join(lines.tolist())
 
 
 def _curve_csv(curve: TransferCurve) -> str:
@@ -141,7 +326,7 @@ def _run_transfer(params):
         # an output past the float range ends the run as an arithmetic error
         with np.errstate(over="raise"):
             sums = code_sums(_slot_quadratures(config, params["steps_per_slot"]))
-            curve = TransferCurve(sums / config.c_out)
+            curve = TransferCurve._own(sums / config.c_out)
     else:
         curve = transfer_curve(config)
     report = linearity_report(curve)

@@ -74,7 +74,8 @@ class Waveform:
     @classmethod
     def _own(cls, times: np.ndarray, values: np.ndarray) -> Waveform:
         # a waveform that keeps an engine's fresh float arrays without a copy:
-        # the times come from _sample_times, so only the values are checked
+        # the engines build their times finite and strictly increasing, so
+        # only the values are checked
         if not np.isfinite(values).all():
             raise ValueError("waveform times and values must be finite")
         times.flags.writeable = False
@@ -299,7 +300,8 @@ def simulate_leaky_numeric(
     0.0 where not, with ``math.exp``) from array operations and ``map``, so
     that only the recurrence in V runs step by step in Python. Each operation
     is the scalar one of a step-by-step loop, so the samples equal that
-    loop's bit for bit.
+    loop's bit for bit. The returned waveform keeps the step ends and the
+    samples without a copy, and only the samples are checked.
     """
     _require_matching_width(config, code)
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
@@ -323,6 +325,10 @@ def simulate_leaky_numeric(
     t[0] = starts[0]
     t[1:] = np.repeat(starts, counts) + j * np.repeat(spans / steps, counts)
     t[last] = ends
+    # The step ends strictly increase. A stretch of one step is [a, b] with
+    # a < b. A stretch of n >= 2 steps has h > dt / 2 >= t_end / (2 * 10**7)
+    # by the sample budget, some 10**8 times the few ulps of t_end by which
+    # a computed a + j h can be off, so the waveform keeps t unchecked
     level = np.repeat(np.where(gates, config.v_set, 0.0), counts)
 
     # (-x) / tau equals x / (-tau) bit for bit; t / tau2 stays below the
@@ -352,7 +358,7 @@ def simulate_leaky_numeric(
             v = v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
             out.append(v)
         values[lo + 1 : hi + 1] = out
-    return Waveform(t, values)
+    return Waveform._own(t, values)
 
 
 def _alpha_model(theta, t, jac=True):

@@ -82,7 +82,7 @@ def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
         outputs = np.concatenate(
             [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]
         )
-    return TransferCurve(outputs)
+    return TransferCurve._own(outputs)
 
 
 def simulate_signed_leaky(

@@ -19,6 +19,7 @@ from tdacsim import (
     FitResult,
     LeakConfig,
     LinearityReport,
+    SignedTdacConfig,
     TdacConfig,
     TransferCurve,
     Waveform,
@@ -31,9 +32,11 @@ from tdacsim import (
     fit_waveform,
     linearity_report,
     peak_of,
+    signed_transfer_curve,
     simulate_leaky,
     transfer_curve,
 )
+from tdacsim import cli
 from tdacsim.core import _slot_quadratures, _slot_weights, code_sums
 
 
@@ -105,6 +108,37 @@ def test_transfer_curve_rejects_non_finite_outputs(bad):
 def test_transfer_curve_rejects_non_flat_outputs(shape):
     with pytest.raises(ValueError, match="^outputs must be a 1-D array$"):
         TransferCurve(np.zeros(shape))
+
+
+def test_public_transfer_curve_copies_its_input():
+    outputs = np.arange(4.0)
+    curve = TransferCurve(outputs)
+    outputs[1] = -7.0
+    assert curve.outputs.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert outputs.flags.writeable and not curve.outputs.flags.writeable
+
+
+def test_transfer_curves_keep_the_engine_arrays(monkeypatch, tmp_path, capsys):
+    # transfer_curve, signed_transfer_curve and the quadrature engine of
+    # tdac transfer build a fresh array of 2^q outputs, so the curve keeps it
+    # without the public constructor's copy and checks
+    calls = []
+    check = TransferCurve.__post_init__
+    monkeypatch.setattr(TransferCurve, "__post_init__", lambda self: calls.append(check(self)))
+    curves = [
+        transfer_curve(TdacConfig(q=6, t_w=0.6)),
+        signed_transfer_curve(SignedTdacConfig(base=TdacConfig(q=8, t_w=0.6), gain_neg=0.5)),
+    ]
+    argv = ["transfer", "--q", "4", "--ratio", "0.7", "--engine", "quadrature",
+            "--steps-per-slot", "16", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "max_abs_inl=" in capsys.readouterr().out
+    assert calls == []
+    for curve in curves:
+        assert not curve.outputs.flags.writeable and curve.outputs.flags.owndata
+    # the one check left has the public constructor's message
+    with pytest.raises(ValueError, match="^transfer curve outputs must be finite$"):
+        transfer_curve(TdacConfig(q=8, t_w=LN2, v_set=1e300, c_out=1e-10))
 
 
 def test_transfer_curve_rejects_overflowing_outputs():

@@ -1223,6 +1223,116 @@ def test_csv_text_equals_the_per_row_rule(columns):
     assert cli._csv_text("x,y", x, y) == per_row_csv_text("x,y", x, y)
 
 
+def assert_per_row_text(header, x, y):
+    # names the first row that differs, not a diff of two long texts
+    got, want = cli._csv_text(header, x, y), per_row_csv_text(header, x, y)
+    if got != want:
+        rows = zip(got.split("\n"), want.split("\n"))
+        row, (line, expected) = next((i, pair) for i, pair in enumerate(rows) if pair[0] != pair[1])
+        pytest.fail(f"row {row}: {line!r} != {expected!r}")
+
+
+def _ulp_neighbours(values):
+    values = np.asarray(values, float)
+    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
+
+
+# the exponent X in -6..15 of a value the CSV kernel formats, by p = 16 - X
+_KERNEL_P = range(1, 23)
+
+
+def _seventeenth_digit_ties():
+    # |x| = r / 2**(p + 1) with r odd and r * 5**p in [2e16, 2e17) scales to
+    # x * 10**p = r * 5**p / 2, exactly halfway between two 17-digit integers.
+    # For p = 0, X = 16 is past the kernel's range, and such an x would be
+    # an odd half-integer above 1e16, which no double is
+    ties = []
+    for p in _KERNEL_P:
+        lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+        odd = range(lo | 1, hi, 2)
+        for r in [*odd[:8], *odd[len(odd) // 2:][:8], *odd[-8:]]:
+            x = r / 2 ** (p + 1)
+            assert x * 2 ** (p + 1) == r and 2 * 10**16 <= r * 5**p < 2 * 10**17
+            ties += [x, -x]
+    return np.array(ties)
+
+
+def _alternating(first, second, runs):
+    # runs of the two values, of the given lengths in turn
+    return np.concatenate([np.full(n, (first, second)[i % 2]) for i, n in enumerate(runs)])
+
+
+_RUNS = [1, 1, 2, 1, 3, 5, 1, 1, 8, 2, 13, 1]
+_FALLBACK = [1e-6, -1e-6, 9.9999999999999995e-07, 1e-7, 1e-300, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e16, -1e16, 1e17, 1.7e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("values", [
+    _ulp_neighbours(10.0 ** np.arange(-8, 19)),
+    _ulp_neighbours(-(10.0 ** np.arange(-8, 19))),
+    _ulp_neighbours([1e-6, -1e-6, 1e16, -1e16]),
+    _seventeenth_digit_ties(),
+    np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-5, 1e-4, 1e15, 9999999999999998.0]),
+    np.array(_FALLBACK),
+], ids=["ulps-of-powers", "ulps-of-negative-powers", "fallback-edges", "ties", "plain",
+        "all-fallback"])
+def test_csv_text_at_the_kernel_edges(values):
+    # every value in both columns, next to a code and next to each other value
+    codes = np.arange(values.size)
+    for x, y in [(codes, values), (values, codes), (values, values[::-1])]:
+        assert_per_row_text("x,y", x, y)
+
+
+def test_csv_text_of_code_columns():
+    # integer codes up to 2**16 - 1 next to signed zeros and kernel values
+    codes = np.arange(2**16)
+    values = np.resize([0.0, -0.0, 0.6931471805599453, -1.5e-6, 123456.78901234567], codes.size)
+    assert_per_row_text("code,v_out", codes, values)
+
+
+@pytest.mark.parametrize("fallback", [1e-7, -3e-310, 1e16, math.inf])
+def test_csv_text_splices_fallback_runs_in_order(fallback):
+    kernel = _alternating(0.25, -1e-3, _RUNS)
+    rows = _alternating(0.75, fallback, _RUNS)
+    ramp = np.linspace(-2.0, 2.0, rows.size)
+    for x, y in [(ramp, rows), (rows, ramp), (rows, kernel), (rows, rows[::-1])]:
+        assert_per_row_text("x,y", x, y)
+
+
+def test_csv_text_without_kernel_rows_skips_the_kernel(monkeypatch):
+    def refuse(block):
+        raise AssertionError("the kernel ran")
+
+    x = np.array(_FALLBACK)
+    expected = per_row_csv_text("x,y", x, np.arange(x.size))
+    monkeypatch.setattr(cli, "_row_bytes", refuse)
+    assert cli._csv_text("x,y", x, np.arange(x.size)) == expected
+    assert cli._csv_text("x,y", np.zeros(0), np.zeros(0)) == "x,y\n"
+
+
+def test_csv_text_on_random_bit_patterns():
+    # 10**6 patterns: half keep their bits, half get an exponent of the
+    # kernel's range (2**-20 .. 2**53) with their own sign and mantissa
+    bits = np.frombuffer(np.random.default_rng(28).bytes(8 * 10**6), np.uint64).copy()
+    near = bits[: bits.size // 2]
+    exponent = np.uint64(1003) + (near >> np.uint64(52)) % np.uint64(74)
+    near &= ~np.uint64(0x7FF << 52)
+    near |= exponent << np.uint64(52)
+    values = bits.view(np.float64)
+    assert_per_row_text("x,y", values[0::2], values[1::2])
+
+
+def test_seventeen_digit_rounding_carries_into_the_next_decade():
+    # no double of the kernel's range rounds up to a power of ten, so the
+    # carry is checked on the scaled value itself: hi + lo just below 10**17
+    # rounds to 10**17, which is 10**16 of the next decade, ties to even
+    hi = np.array([1e17, 1e17, 1e17, 99999999999999984.0, 1e16])
+    lo = np.array([-0.25, -0.5, -0.75, 6.0, 0.5])
+    n, exponent = cli._rounded(hi, lo, np.full(hi.size, 3))
+    assert n.tolist() == [10**16, 10**16, 10**17 - 1, 99999999999999990, 10**16]
+    assert exponent.tolist() == [4, 4, 3, 3, 3]
+
+
 # --- byte identity ------------------------------------------------------------------
 
 FIGURES = ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig6-shape", "fig7-shape"]

@@ -79,6 +79,44 @@ def test_simulate_leaky_keeps_the_engine_arrays(monkeypatch):
     assert (np.diff(wf.times) > 0.0).all()
 
 
+def test_simulate_leaky_numeric_keeps_the_engine_arrays(monkeypatch):
+    # the RK4 oracle builds its step ends strictly increasing and its samples
+    # fresh, so the waveform keeps both without a copy; only the samples are
+    # checked
+    calls = []
+    check = Waveform.__post_init__
+    monkeypatch.setattr(Waveform, "__post_init__", lambda self: calls.append(check(self)))
+    cfg = TdacConfig(q=4, t_w=0.3, tau2=1.0)
+    wf = simulate_leaky_numeric(cfg, LeakConfig(tau1=1.0), DigitalCode.from_int(11, 4), 2.0, 0.01)
+    assert calls == []
+    for array in (wf.times, wf.values):
+        assert not array.flags.writeable and array.flags.owndata
+    assert not np.shares_memory(wf.times, wf.values)
+    with pytest.raises(ValueError, match="^waveform times and values must be finite$"):
+        simulate_leaky_numeric(TdacConfig(q=1, t_w=1.0, v_set=1e308),
+                               LeakConfig(tau1=1.0, v0=1e308), DigitalCode.from_int(1, 1), 1.0, 0.1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.sampled_from(["random", "10", "01"]), st.integers(0, 1023),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(1e-4, 2.0), st.floats(0.01, 1.0),
+       st.floats(0.0, 1.0))
+def test_numeric_step_ends_strictly_increase(q, pattern, bits, log_tau2, log_tau1, ratio, dt_frac,
+                                             tail):
+    # slots from far below to far above the step, a window that ends inside a
+    # slot or past them all, and steps up to the accuracy bound: the times
+    # the waveform keeps unchecked still strictly increase
+    code = (DigitalCode.from_int(bits % (1 << q), q) if pattern == "random"
+            else DigitalCode.from_string((pattern * q)[:q]))
+    tau1, tau2 = 10.0**log_tau1, 10.0**log_tau2
+    cfg = TdacConfig(q=q, t_w=ratio * tau2, tau2=tau2)
+    dt = dt_frac * 0.1 * min(tau1, tau2)
+    t_end = min((q * (1.0 + tail) + 1e-3) * cfg.t_w, 3000 * dt)
+    wf = simulate_leaky_numeric(cfg, LeakConfig(tau1=tau1), code, t_end, dt)
+    assert wf.times[0] == 0.0 and wf.times[-1] == t_end
+    assert (wf.times[1:] > wf.times[:-1]).all()
+
+
 def test_simulate_leaky_overflowed_state_is_the_public_message():
     # a state past the float range reaches the values as inf
     cfg = TdacConfig(q=2, t_w=1.0, tau2=1.0, v_set=1e308)
