@@ -76,18 +76,19 @@ def _key_values(pairs) -> str:
     return "".join(f"{key}={_text(value)}\n" for key, value in pairs)
 
 
-# CSV rows: the text of "%.17g,%.17g\n", built in numpy from exact digits.
-# A value in the kernel's range is zero or has 1e-6 < |x| < 1e16, so its
-# decimal exponent X lies in -6..15 and 10**(16 - X) is an exact double.
+# CSV rows: the text of "%.17g,%.17g\n", built in numpy from integer digits.
+# A normal value is scaled to about 1e16 by a power of ten 10**p, p = 16 - X
+# for its decimal exponent X in -308..308, and the nearest integer of the
+# product holds its 17 digits. 10**p is a double-double, exact for p in 0..22
+# (X in -6..16), and elsewhere its small error certifies all but the rare
+# product that lies next to a half-integer; a row with such a value, a
+# subnormal, an inf or a nan is formatted by % itself.
 #
 # Each value's text goes into a field of 48 bytes, NUL where unused: its sign
 # (byte 0), the "0." and zeros of a fixed value below 1 (1-5), digit j of its
-# 17 (6 + 2j) followed by a slot for the point (7 + 2j), an exponent (40-43)
+# 17 (6 + 2j) followed by a slot for the point (7 + 2j), an exponent (40-44)
 # and the separator (47). A field is six uint64 words, so each part is ORed
 # in whole words from tables of bytes; no table depends on the byte order.
-
-_POW10 = np.array([float(10**p) for p in range(23)])
-
 
 def _split(a):
     # Veltkamp: a == hi + lo, each half with at most 26 significant bits
@@ -96,7 +97,36 @@ def _split(a):
     return hi, a - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+def _powers_of_ten():
+    # By p + 292 for p in -292..324: 10**p == (hi + lo) * 2**E with hi in
+    # [1, 2), as the rows hi, its two Veltkamp halves, lo and 2**E, where an
+    # E past 1023 stays 1023 and its rest scales hi and lo, and where p in
+    # 0..22 has hi the exact double 10**p and E 0. They come from
+    # the top 110 bits of 2**1200 // 10**-p for p < 0 and of 2**110 * 10**p
+    # for p >= 0, each longer than that: hi + lo is within a relative
+    # 2**-106.8 of 10**p / 2**E, and lo == 0 exactly for p in 0..22. Built
+    # from Python integers and exact scalings of floats
+    q, t = 2**1200, 2**110
+    powers = [q := q // 10 for _ in range(292)][::-1] + [t] + [t := t * 10 for _ in range(324)]
+    shifts = [m.bit_length() - 110 for m in powers]
+    tops = [m >> shift for m, shift in zip(powers, shifts)]
+    nearest = [float(top) for top in tops]
+    # 10**p is top * 2**shift over 2**1200 or 2**110, and top is hi * 2**109;
+    # E is past 1023 only from p = 308 on
+    exponents = [s - 1091 for s in shifts[:292]] + [s - 1 for s in shifts[292:]]
+    rest = np.full(617, 2.0**-109)
+    rest[600:] = [math.ldexp(2.0**-109, e - 1023) for e in exponents[600:]]
+    hi = np.array(nearest) * rest
+    lo = np.array([top - int(x) for top, x in zip(tops, nearest)], float) * rest
+    power = np.array([math.ldexp(1.0, min(e, 1023)) for e in exponents])
+    hi[292:315], power[292:315] = [float(10**p) for p in range(23)], 1.0
+    return np.array([hi, *_split(hi), lo, power])
+
+
+_TENS = _powers_of_ten()
+# a bound on the error of lo in a double-double scaling; see _scaled
+_LO_ERROR = 1e-12
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
 def _words(text) -> np.ndarray:
@@ -105,11 +135,12 @@ def _words(text) -> np.ndarray:
 
 
 def _field_tables():
-    # By (X + 6) * 17 + L, for the exponent X in -6..16 and the index L of the
-    # last nonzero digit: a mask of the bytes kept and the constant text. Both
-    # are built by slicing alone, so that no ufunc runs at import
-    shown = np.zeros((23, 17, 48), np.uint8)
-    shown[..., 0] = shown[..., 47] = 255
+    # By F * 17 + L, for the form F, X + 5 for a fixed value of exponent X in
+    # -4..16 and 0 for an exponent form, and the index L of the last nonzero
+    # digit: a mask of the bytes kept and the constant text, but for the last
+    # word. Both are built by slicing alone, so that no ufunc runs at import
+    shown = np.zeros((22, 17, 48), np.uint8)
+    shown[..., 0] = 255
     text = np.zeros(shown.shape, np.uint8)
     # %g drops trailing zeros, but not from the integer part of a fixed value
     digits = shown[..., 6:40:2]
@@ -117,15 +148,14 @@ def _field_tables():
         digits[:, last, :last + 1] = 255
     lead = np.frombuffer(b"0.000", np.uint8)
     for x in range(17):
-        digits[x + 6, :x + 1, :x + 1] = 255
+        digits[x + 5, :x + 1, :x + 1] = 255
         # the point follows the integer part when a nonzero digit follows it
-        text[x + 6, x + 1:, 7 + 2 * x] = ord(".")
+        text[x + 5, x + 1:, 7 + 2 * x] = ord(".")
     # a fixed value below 1 has its point in its lead
     for x in range(-4, 0):
-        text[x + 6, :, 1:2 - x] = lead[:1 - x]
+        text[x + 5, :, 1:2 - x] = lead[:1 - x]
     # an exponent form has its point after digit 0, when a nonzero digit follows
-    text[:2, 1:, 7] = ord(".")
-    text[:2, :, 40:44] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 1, 4)
+    text[0, 1:, 7] = ord(".")
     return _words(shown).reshape(-1, 6), _words(text).reshape(-1, 6)
 
 
@@ -157,20 +187,74 @@ def _byte_words(column: int, values: bytes) -> np.ndarray:
 
 _FIRST = _byte_words(6, b"0123456789")
 _SIGN = _byte_words(0, b"\0-")
-_SEPARATORS = _byte_words(7, b",\n")
+
+
+def _end_words():
+    # By X + 308 for X in -308..308, then again plus 617: the last word of a
+    # field, its bytes 40-47. It holds the exponent text e-308..e+308 as %g
+    # writes it, at least two digits, NUL for a fixed value, and the
+    # separator, "," and then "\n". Built by slicing alone, like the field
+    # tables
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    ends = np.zeros((2, 617, 8), np.uint8)
+    ends[..., 7] = np.frombuffer(b",\n", np.uint8)[:, None]
+    text = ends[0]
+    text[:, 0] = ord("e")
+    text[:308, 1], text[308:, 1] = ord("-"), ord("+")
+    # from row 308 on by |X|: the tens and ones of 0..99, then the hundreds,
+    # tens and ones of 100..299 and of 300..308
+    low = text[308:408].reshape(10, 10, 8)
+    low[..., 2], low[..., 3] = digits[:, None], digits
+    high = text[408:608].reshape(2, 10, 10, 8)
+    high[..., 2], high[..., 3], high[..., 4] = digits[1:3, None, None], digits[:, None], digits
+    text[608:, 2], text[608:, 3], text[608:, 4] = digits[3], digits[0], digits[:9]
+    # and |X| 308..1 before it; a fixed value, X in -4..16, has none
+    text[:308, 2:5] = text[:308:-1, 2:5]
+    text[304:325, :5] = 0
+    ends[1, :, :5] = text[:, :5]
+    return _words(ends).ravel()
+
+
+_ENDS = _end_words()
+# by X + 308: the form of the field tables times 17
+_FORMS = np.zeros(617, np.intp)
+_FORMS[304:325] = range(17, 374, 17)
 # rows per kernel block: the block's arrays bound the memory a CSV takes
 _ROWS = 2048
 
 
-def _scaled(a, p):
-    # Dekker's two-product: hi + lo == a * 10**p exactly, for every a > 0 here
-    hi = a * _POW10.take(p)
+def _product(a, b, b_hi, b_lo):
+    # Dekker's two-product: hi + lo == a * b exactly, for a, b > 0 here and
+    # b_hi + b_lo the split of b
+    hi = a * b
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI.take(p), _POW10_LO.take(p)
     lo = a_hi * b_hi - hi
     lo += a_hi * b_lo
     lo += a_lo * b_hi
     lo += a_lo * b_lo
+    return hi, lo
+
+
+def _scaled(a, p):
+    # hi + lo close to a * 10**p, for p in -292..324 and a normal a whose
+    # product is near 1e16: b == a * 2**E exactly, and b * (hi_p + lo_p) is
+    # a * 10**p within the table's error, exactly for p in 0..22, where lo_p
+    # is 0 and the two-product is exact. Where _digits has settled a decade,
+    # hi + lo < 1e17 and hi < 2**57, so the two-product's part of lo is at
+    # most half an ulp of hi, 8, and |b * lo_p| <= b * hi_p * 2**-53 < 16.
+    # Against a * 10**p, lo then errs by at most
+    #   1e17 * 2**-106 from the table (1.3e-15),
+    #   2**-50 in rounding b * lo_p, below 16 (8.9e-16),
+    #   2**-49 in rounding the sum into lo, below 24 (1.8e-15),
+    # less than 4e-15 in all. _LO_ERROR allows 1e-12
+    p = p + 292
+    hi_p, hi_hi, hi_lo = _TENS[0].take(p), _TENS[1].take(p), _TENS[2].take(p)
+    # with every p in 0..22, lo_p is 0 and 2**E is 1
+    if p.min() >= 292 and p.max() <= 314:
+        return _product(a, hi_p, hi_hi, hi_lo)
+    b = a * _TENS[4].take(p)
+    hi, lo = _product(b, hi_p, hi_hi, hi_lo)
+    lo += b * _TENS[3].take(p)
     return hi, lo
 
 
@@ -183,9 +267,11 @@ def _divmod(a, b: int):
 def _rounded(hi, lo, X):
     # hi + lo in [1e16, 1e17) as its nearest integer n, ties to even as dtoa
     # rounds, and the exponent X of the value it scales: hi is an even integer
-    # above 2**53 and |lo| at most half its spacing. An n of 10**17 is 10**16
-    # of the next decade. No double of the kernel's range rounds up that far:
-    # its 17 digits read back as itself, and no fl(10**k) there is below 10**k
+    # above 2**53 and |lo| below 32. An n of 10**17 is 10**16 of the next
+    # decade. No double in 1e-6..1e16 rounds up that far: its 17 digits read
+    # back as itself, and no fl(10**k) there is below 10**k. Past that range
+    # some do: fl(10**-305) and fl(10**98), among others, lie below 10**k by
+    # less than half a unit of their 17th digit
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = n == 10**17
     n -= carry * (9 * 10**16)
@@ -193,15 +279,18 @@ def _rounded(hi, lo, X):
 
 
 def _digits(a):
-    """For floats a > 0 with 1e-6 < a < 1e16: the integers n in
-    [10**16, 10**17) and exponents X with n * 10**(X - 16) the value of a
-    rounded to 17 significant digits."""
-    # the clip keeps an X that log10 puts one past either end in the tables
+    """For normal floats a > 0: hi, lo and exponents X with hi + lo in
+    [1e16, 1e17) the value of a * 10**(16 - X), exactly for X in -6..16 and
+    elsewhere with lo erring by less than _LO_ERROR."""
+    # log10 of a normal a floors into -308..308, the rows of the table
     x = np.log10(a)
-    X = np.floor(x, out=x).clip(-6, 15, out=x).astype(np.intp)
+    X = np.floor(x, out=x).astype(np.intp)
     hi, lo = _scaled(a, 16 - X)
     # log10 can miss by one next to a power of ten: X is the decade of hi + lo,
-    # whose signs against 1e17 and 1e16 the differences below get exactly
+    # whose signs against 1e17 and 1e16 the differences below get exactly.
+    # Where an inexact hi + lo errs across 1e17 or 1e16, its value is within
+    # the error of 10**17 or 10**16, so both decades round to the same digits:
+    # the carry of _rounded takes 10**17 to 10**16 of the next decade
     up = (hi - 1e17) + lo >= 0.0
     down = (hi - 1e16) + lo < 0.0
     X += up
@@ -209,65 +298,80 @@ def _digits(a):
     fix = np.flatnonzero(up | down)
     if fix.size:
         hi[fix], lo[fix] = _scaled(a[fix], 16 - X[fix])
-    return _rounded(hi, lo, X)
+    return hi, lo, X
 
 
 def _row_bytes(xy) -> np.ndarray:
-    """The rows of an (n, 2) float block of kernel-range values as an
-    (n, 96) uint8 matrix; without its NULs it is the text of
-    ``"%.17g,%.17g\\n"`` for each row."""
+    """The rows of an (n, 2) float block as an (n, 96) uint8 matrix; without
+    its NULs it is the text of ``"%.17g,%.17g\\n"`` for each row."""
     v = xy.ravel()
     zero = v == 0.0
     # a zero goes through as 1.0, so no operation sees it
     a = np.abs(v)
     a[zero] = 1.0
-    n, X = _digits(a)
+    # the exact powers of ten scale a value with 1e-6 < |x| < 1e17 (the double
+    # nearest 1e-6 is below it); of the others, a subnormal, an inf or a nan
+    # goes through as 1.0 too, and its row to %
+    odd = np.flatnonzero(~((a > 1e-6) & (a < 1e17)))
+    if odd.size:
+        b = a.take(odd)
+        other = odd[~((b >= _TINY) & (b < math.inf))]
+        a[other] = 1.0
+    hi, lo, X = _digits(a)
+    percent = set()
+    if odd.size:
+        # and so does the row of a product that lies within the error of a
+        # half-integer, whose rounding is left unproven
+        b = lo.take(odd)
+        unsure = odd[np.abs(b - np.rint(b)) >= 0.5 - _LO_ERROR]
+        percent = set((np.concatenate([other, unsure]) // 2).tolist())
+    n, X = _rounded(hi, lo, X)
     first, n = _divmod(n, 10**16)
     upper, lower = _divmod(n, 10**8)
     groups = (*_divmod(upper.astype(np.int32), 10**4), *_divmod(lower.astype(np.int32), 10**4))
     last = np.maximum(np.maximum(_LAST[0].take(groups[0]), _LAST[1].take(groups[1])),
                       np.maximum(_LAST[2].take(groups[2]), _LAST[3].take(groups[3])))
-    key = (X + 6) * 17 + last
+    X += 308
+    key = _FORMS.take(X)
+    key += last
+    # the second value of a row ends its line
+    X[1::2] += 617
     words = np.empty((v.size, 6), np.uint64)
     # a zero has the one digit 1 of 1.0, made 0
     first -= zero
     words[:, 0] = _FIRST.take(first) | _SIGN.take(np.signbit(v))
     for j, group in enumerate(groups, 1):
         words[:, j] = _SPREAD.take(group)
-    words[:, 5] = np.tile(_SEPARATORS, len(xy))
     words &= _SHOWN.take(key, axis=0)
     words |= _TEXT.take(key, axis=0)
-    return words.view(np.uint8).reshape(-1, 96)
-
-
-def _kernel_text(xy) -> str:
-    # equal blocks of at most _ROWS rows, and none for no rows
-    blocks = np.array_split(xy, -(-len(xy) // _ROWS)) if len(xy) else []
-    return b"".join(_row_bytes(block).tobytes().translate(None, b"\0")
-                    for block in blocks).decode("ascii")
+    words[:, 5] = _ENDS.take(X)
+    rows = words.view(np.uint8).reshape(-1, 96)
+    for row in percent:
+        line = (f"{_NUMBER},{_NUMBER}\n" % tuple(xy[row].tolist())).encode()
+        rows[row] = 0
+        rows[row, :len(line)] = np.frombuffer(line, np.uint8)
+    return rows
 
 
 def _csv_text(header: str, x, y) -> str:
-    # Exact: Dekker's two-product scales each value to hi + lo == |x| * 10**p
-    # in [1e16, 1e17) with no rounding, and its nearest integer, ties to even,
-    # is the 17-digit rounding that dtoa's correctly rounded %.17g prints.
-    # A row with a value outside the kernel's range is formatted by % itself;
-    # %.17g writes an integer code column's 5.0 as 5, as it writes 5
+    # Dekker's two-product scales each value to hi + lo within a certified
+    # error of |x| * 10**p in [1e16, 1e17), and its nearest integer, ties to
+    # even, is the 17-digit rounding that dtoa's correctly rounded %.17g
+    # prints; %.17g writes an integer code column's 5.0 as 5, as it writes 5
     xy = np.empty((len(x), 2))
     xy[:, 0] = x
     xy[:, 1] = y
     a = np.abs(xy)
-    fast = ((a > 1e-6) & (a < 1e16)) | (xy == 0.0)
-    fast = fast[:, 0] & fast[:, 1]
-    if fast.all():
-        return f"{header}\n" + _kernel_text(xy)
-    # every row's line in place, then one join
-    rest = xy[~fast]
-    lines = np.empty(len(xy), object)
-    lines[fast] = _kernel_text(xy[fast]).splitlines(True)
-    text = (f"{_NUMBER},{_NUMBER}\n" * len(rest)) % tuple(rest.ravel().tolist())
-    lines[~fast] = text.splitlines(True)
-    return f"{header}\n" + "".join(lines.tolist())
+    kernel = ((a >= _TINY) & (a < math.inf)) | (xy == 0.0)
+    # a CSV with no row of two kernel values skips the kernel: it has no rows,
+    # or each has a subnormal, an inf or a nan. More kernel values than rows
+    # put two in one row
+    if np.count_nonzero(kernel) <= len(xy) and not (kernel[:, 0] & kernel[:, 1]).any():
+        return f"{header}\n" + (f"{_NUMBER},{_NUMBER}\n" * len(xy)) % tuple(xy.ravel().tolist())
+    # in equal blocks of at most _ROWS rows
+    blocks = np.array_split(xy, -(-len(xy) // _ROWS))
+    text = b"".join(_row_bytes(block).tobytes().translate(None, b"\0") for block in blocks)
+    return f"{header}\n" + text.decode("ascii")
 
 
 def _curve_csv(curve: TransferCurve) -> str:

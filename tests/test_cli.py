@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1263,8 +1264,7 @@ def _alternating(first, second, runs):
 
 
 _RUNS = [1, 1, 2, 1, 3, 5, 1, 1, 8, 2, 13, 1]
-_FALLBACK = [1e-6, -1e-6, 9.9999999999999995e-07, 1e-7, 1e-300, 5e-324, -5e-324,
-             2.2250738585072014e-308, 1e16, -1e16, 1e17, 1.7e308, math.inf, -math.inf, math.nan]
+_FALLBACK = [5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf, math.nan]
 
 
 @pytest.mark.parametrize("values", [
@@ -1310,6 +1310,110 @@ def test_csv_text_without_kernel_rows_skips_the_kernel(monkeypatch):
     assert cli._csv_text("x,y", np.zeros(0), np.zeros(0)) == "x,y\n"
 
 
+def _powers(mantissa, exponents):
+    # the doubles nearest mantissa * 10**k, as a literal reads
+    return np.array([float(f"{mantissa}e{k}") for k in exponents])
+
+
+def _wide_ties():
+    # |x| = r / 2**(p + 1) with r odd scales to r * 5**p / 2, a 17th-digit
+    # tie, where r * 5**p lies in [2e16, 2e17); past the exact powers of ten,
+    # p = 23 and 24 have such r, from p = 25 on 5**p is too large
+    ties = []
+    for p in range(23, 26):
+        odd = range(-(-2 * 10**16 // 5**p) | 1, -(-2 * 10**17 // 5**p), 2)
+        for r in odd:
+            x = r / 2 ** (p + 1)
+            assert x * 2 ** (p + 1) == r and 2 * 10**16 <= r * 5**p < 2 * 10**17
+            ties += [x, -x]
+    assert len(ties) == 2 * (7 + 2)
+    return np.array(ties)
+
+
+def _odd_multiples_of_powers_of_two():
+    # m * 2**e for odd m < 200 over every exponent that keeps it normal
+    values = np.ldexp(np.arange(1.0, 200.0, 2.0)[:, None], np.arange(-1022, 1017)[None, :]).ravel()
+    return values[(values >= 2.2250738585072014e-308) & (values < math.inf)]
+
+
+_SMALLEST_NORMAL, _LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("values", [
+    _ulp_neighbours(_powers(1, range(-307, 309))),
+    _ulp_neighbours(-_powers(1, range(-307, 309))),
+    _ulp_neighbours(np.concatenate([_powers(5, range(-308, 308)), -_powers(5, range(-308, 308))])),
+    np.concatenate([_ulp_neighbours([_SMALLEST_NORMAL, -_SMALLEST_NORMAL, -_LARGEST]),
+                    np.nextafter([_LARGEST, _LARGEST], 0.0), [_LARGEST],
+                    [1e-6, -1e-6, 9.9999999999999995e-07, 1e-7, 1e-300, 1e16, -1e16, 1e17, 1.7e308]]),
+    _wide_ties(),
+    _odd_multiples_of_powers_of_two(),
+], ids=["ulps-of-powers", "ulps-of-negative-powers", "ulps-of-five-powers", "normal-edges", "ties",
+        "odd-multiples-of-powers-of-two"])
+def test_csv_text_over_the_whole_normal_range(values):
+    # every value in both columns, next to a code and next to each other value
+    codes = np.arange(values.size)
+    for x, y in [(codes, values), (values, codes), (values, values[::-1])]:
+        assert_per_row_text("x,y", x, y)
+
+
+def test_csv_text_on_random_normal_values():
+    # 10**6 values with random sign and mantissa and an exponent uniform over
+    # the whole normal range
+    rng = np.random.default_rng(29)
+    bits = np.frombuffer(rng.bytes(8 * 10**6), np.uint64) & ~np.uint64(0x7FF << 52)
+    bits |= rng.integers(1, 2047, bits.size).astype(np.uint64) << np.uint64(52)
+    values = bits.view(np.float64)
+    assert_per_row_text("x,y", values[0::2], values[1::2])
+
+
+@pytest.mark.parametrize("wide", [1e-7, -3e-300, 1e17, -1.7e308])
+def test_csv_text_formats_unproven_rows_with_percent(monkeypatch, wide):
+    # no rounding past the exact powers of ten is proven, and the values
+    # scaled there are one unit off in their 17th digit, so a row that kept
+    # its kernel digits would differ from %
+    scaled = cli._scaled
+
+    def off_by_one(a, p):
+        hi, lo = scaled(a, p)
+        return hi, lo + (cli._TENS[3, p + 292] != 0.0)
+
+    monkeypatch.setattr(cli, "_LO_ERROR", 0.5)
+    monkeypatch.setattr(cli, "_scaled", off_by_one)
+    kernel = _alternating(0.25, -1e-3, _RUNS)
+    rows = _alternating(0.75, wide, _RUNS)
+    ramp = np.linspace(-2.0, 2.0, rows.size)
+    mixed = _alternating(wide, 5e-324, _RUNS)
+    for x, y in [(ramp, rows), (rows, ramp), (rows, kernel), (rows, rows[::-1]), (mixed, rows)]:
+        assert_per_row_text("x,y", x, y)
+
+
+def test_csv_text_leaves_the_floating_point_state():
+    values = np.concatenate([_ulp_neighbours(_powers(1, range(-307, 309))), _FALLBACK])
+    before = np.geterr()
+    assert_per_row_text("x,y", values, values[::-1])
+    assert np.geterr() == before
+    # and no operation on a zero or a normal value raises a floating-point flag
+    normal = np.concatenate([[0.0, -0.0], _ulp_neighbours(_powers(1, range(-307, 309)))])
+    with np.errstate(all="raise"):
+        assert_per_row_text("x,y", normal, normal[::-1])
+
+
+def test_power_of_ten_table():
+    # 10**p == (hi + lo) * 2**E within the relative 2**-106 that the error
+    # bound of the double-double scaling assumes, exactly for p in 0..22
+    assert cli._TENS.shape == (5, 617)
+    for p in range(-292, 325):
+        hi, hi_hi, hi_lo, lo, power = map(float, cli._TENS[:, p + 292])
+        exact = Fraction(10) ** p / Fraction(power)
+        assert math.frexp(power)[0] == 0.5 and power <= 2.0**1023
+        assert 1.0 <= hi < 2.0 or power == 2.0**1023 and 1.0 <= hi < 2.0**54 or hi == 10**p
+        assert abs(lo) <= hi * 2.0**-53
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
+        assert (lo == 0.0) == (0 <= p <= 22) == (power == 1.0)
+        assert (hi_hi, hi_lo) == cli._split(hi) and hi_hi + hi_lo == hi
+
+
 def test_csv_text_on_random_bit_patterns():
     # 10**6 patterns: half keep their bits, half get an exponent of the
     # kernel's range (2**-20 .. 2**53) with their own sign and mantissa
@@ -1323,14 +1427,24 @@ def test_csv_text_on_random_bit_patterns():
 
 
 def test_seventeen_digit_rounding_carries_into_the_next_decade():
-    # no double of the kernel's range rounds up to a power of ten, so the
-    # carry is checked on the scaled value itself: hi + lo just below 10**17
-    # rounds to 10**17, which is 10**16 of the next decade, ties to even
+    # no double of 1e-6..1e16 rounds up to a power of ten, so the carry is
+    # checked on the scaled value itself: hi + lo just below 10**17 rounds
+    # to 10**17, which is 10**16 of the next decade, ties to even
     hi = np.array([1e17, 1e17, 1e17, 99999999999999984.0, 1e16])
     lo = np.array([-0.25, -0.5, -0.75, 6.0, 0.5])
     n, exponent = cli._rounded(hi, lo, np.full(hi.size, 3))
     assert n.tolist() == [10**16, 10**16, 10**17 - 1, 99999999999999990, 10**16]
     assert exponent.tolist() == [4, 4, 3, 3, 3]
+    # past that range doubles reach it: each fl(10**k) here lies below 10**k
+    # by less than half a unit of its 17th digit
+    k = np.array([-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220])
+    values = _powers(1, k.tolist())
+    hi, lo, exponent = cli._digits(values)
+    assert (hi == 1e17).all() and (-0.5 < lo).all() and (lo < 0.0).all()
+    assert (exponent == k - 1).all()
+    n, exponent = cli._rounded(hi, lo, exponent)
+    assert (n == 10**16).all() and (exponent == k).all()
+    assert_per_row_text("x,y", values, -values)
 
 
 # --- byte identity ------------------------------------------------------------------
