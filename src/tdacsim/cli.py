@@ -77,12 +77,12 @@ def _key_values(pairs) -> str:
 
 
 # CSV rows: the text of "%.17g,%.17g\n", built in numpy from integer digits.
-# A normal value is scaled to about 1e16 by a power of ten 10**p, p = 16 - X
-# for its decimal exponent X in -308..308, and the nearest integer of the
+# A finite value is scaled to about 1e16 by a power of ten 10**p, p = 16 - X
+# for its decimal exponent X in -324..308, and the nearest integer of the
 # product holds its 17 digits. 10**p is a double-double, exact for p in 0..22
-# (X in -6..16), and elsewhere its small error certifies all but the rare
-# product that lies next to a half-integer; a row with such a value, a
-# subnormal, an inf or a nan is formatted by % itself.
+# (X in -6..16), and its error bound certifies the rounding of every product
+# but one that lies next to a half-integer; a row with such a value, an inf
+# or a nan is formatted by % itself.
 #
 # Each value's text goes into a field of 48 bytes, NUL where unused: its sign
 # (byte 0), the "0." and zeros of a fixed value below 1 (1-5), digit j of its
@@ -98,23 +98,23 @@ def _split(a):
 
 
 def _powers_of_ten():
-    # By p + 292 for p in -292..324: 10**p == (hi + lo) * 2**E with hi in
+    # By p + 292 for p in -292..340: 10**p == (hi + lo) * 2**E with hi in
     # [1, 2), as the rows hi, its two Veltkamp halves, lo and 2**E, where an
-    # E past 1023 stays 1023 and its rest scales hi and lo, and where p in
-    # 0..22 has hi the exact double 10**p and E 0. They come from
-    # the top 110 bits of 2**1200 // 10**-p for p < 0 and of 2**110 * 10**p
-    # for p >= 0, each longer than that: hi + lo is within a relative
-    # 2**-106.8 of 10**p / 2**E, and lo == 0 exactly for p in 0..22. Built
-    # from Python integers and exact scalings of floats
+    # E past 1023 stays 1023 and its rest scales hi and lo (hi < 2**107 at
+    # p = 340), and where p in 0..22 has hi the exact double 10**p and E 0.
+    # They come from the top 110 bits of 2**1200 // 10**-p for p < 0 and of
+    # 2**110 * 10**p for p >= 0, each longer than that: hi + lo is within a
+    # relative 2**-106.8 of 10**p / 2**E, and lo == 0 exactly for p in 0..22.
+    # Built from Python integers and exact scalings of floats
     q, t = 2**1200, 2**110
-    powers = [q := q // 10 for _ in range(292)][::-1] + [t] + [t := t * 10 for _ in range(324)]
+    powers = [q := q // 10 for _ in range(292)][::-1] + [t] + [t := t * 10 for _ in range(340)]
     shifts = [m.bit_length() - 110 for m in powers]
     tops = [m >> shift for m, shift in zip(powers, shifts)]
     nearest = [float(top) for top in tops]
     # 10**p is top * 2**shift over 2**1200 or 2**110, and top is hi * 2**109;
     # E is past 1023 only from p = 308 on
     exponents = [s - 1091 for s in shifts[:292]] + [s - 1 for s in shifts[292:]]
-    rest = np.full(617, 2.0**-109)
+    rest = np.full(633, 2.0**-109)
     rest[600:] = [math.ldexp(2.0**-109, e - 1023) for e in exponents[600:]]
     hi = np.array(nearest) * rest
     lo = np.array([top - int(x) for top, x in zip(tops, nearest)], float) * rest
@@ -126,7 +126,6 @@ def _powers_of_ten():
 _TENS = _powers_of_ten()
 # a bound on the error of lo in a double-double scaling; see _scaled
 _LO_ERROR = 1e-12
-_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
 def _words(text) -> np.ndarray:
@@ -190,35 +189,38 @@ _SIGN = _byte_words(0, b"\0-")
 
 
 def _end_words():
-    # By X + 308 for X in -308..308, then again plus 617: the last word of a
-    # field, its bytes 40-47. It holds the exponent text e-308..e+308 as %g
+    # By X + 324 for X in -324..308, then again plus 633: the last word of a
+    # field, its bytes 40-47. It holds the exponent text e-324..e+308 as %g
     # writes it, at least two digits, NUL for a fixed value, and the
     # separator, "," and then "\n". Built by slicing alone, like the field
     # tables
     digits = np.frombuffer(b"0123456789", np.uint8)
-    ends = np.zeros((2, 617, 8), np.uint8)
+    ends = np.zeros((2, 633, 8), np.uint8)
     ends[..., 7] = np.frombuffer(b",\n", np.uint8)[:, None]
     text = ends[0]
     text[:, 0] = ord("e")
-    text[:308, 1], text[308:, 1] = ord("-"), ord("+")
-    # from row 308 on by |X|: the tens and ones of 0..99, then the hundreds,
+    text[:324, 1], text[324:, 1] = ord("-"), ord("+")
+    # from row 324 on by |X|: the tens and ones of 0..99, then the hundreds,
     # tens and ones of 100..299 and of 300..308
-    low = text[308:408].reshape(10, 10, 8)
+    low = text[324:424].reshape(10, 10, 8)
     low[..., 2], low[..., 3] = digits[:, None], digits
-    high = text[408:608].reshape(2, 10, 10, 8)
+    high = text[424:624].reshape(2, 10, 10, 8)
     high[..., 2], high[..., 3], high[..., 4] = digits[1:3, None, None], digits[:, None], digits
-    text[608:, 2], text[608:, 3], text[608:, 4] = digits[3], digits[0], digits[:9]
-    # and |X| 308..1 before it; a fixed value, X in -4..16, has none
-    text[:308, 2:5] = text[:308:-1, 2:5]
-    text[304:325, :5] = 0
+    text[624:, 2], text[624:, 3], text[624:, 4] = digits[3], digits[0], digits[:9]
+    # and |X| 324..1 before it: 308..1 as those rows, and 324..309 as the
+    # tens and ones of 24..9 after a 3
+    text[16:324, 2:5] = text[:324:-1, 2:5]
+    text[:16, 2], text[:16, 3:5] = digits[3], text[348:332:-1, 2:4]
+    # a fixed value, X in -4..16, has none
+    text[320:341, :5] = 0
     ends[1, :, :5] = text[:, :5]
     return _words(ends).ravel()
 
 
 _ENDS = _end_words()
-# by X + 308: the form of the field tables times 17
-_FORMS = np.zeros(617, np.intp)
-_FORMS[304:325] = range(17, 374, 17)
+# by X + 324: the form of the field tables times 17
+_FORMS = np.zeros(633, np.intp)
+_FORMS[320:341] = range(17, 374, 17)
 # rows per kernel block: the block's arrays bound the memory a CSV takes
 _ROWS = 2048
 
@@ -236,24 +238,21 @@ def _product(a, b, b_hi, b_lo):
 
 
 def _scaled(a, p):
-    # hi + lo close to a * 10**p, for p in -292..324 and a normal a whose
-    # product is near 1e16: b == a * 2**E exactly, and b * (hi_p + lo_p) is
-    # a * 10**p within the table's error, exactly for p in 0..22, where lo_p
-    # is 0 and the two-product is exact. Where _digits has settled a decade,
-    # hi + lo < 1e17 and hi < 2**57, so the two-product's part of lo is at
-    # most half an ulp of hi, 8, and |b * lo_p| <= b * hi_p * 2**-53 < 16.
-    # Against a * 10**p, lo then errs by at most
+    # hi + lo close to a * 10**p, for p in -292..340 and a finite a > 0 whose
+    # product is near 1e16: b == a * 2**E exactly, a subnormal a included,
+    # and b * (hi_p + lo_p) is a * 10**p within the table's error, exactly
+    # for p in 0..22, where lo_p is 0 and the two-product is exact. Where
+    # _digits has settled a decade, hi + lo < 1e17 and hi < 2**57, so the
+    # two-product's part of lo is at most half an ulp of hi, 8, and
+    # |b * lo_p| <= b * hi_p * 2**-53 < 16. Against a * 10**p, lo then errs
+    # by at most
     #   1e17 * 2**-106 from the table (1.3e-15),
     #   2**-50 in rounding b * lo_p, below 16 (8.9e-16),
     #   2**-49 in rounding the sum into lo, below 24 (1.8e-15),
     # less than 4e-15 in all. _LO_ERROR allows 1e-12
     p = p + 292
-    hi_p, hi_hi, hi_lo = _TENS[0].take(p), _TENS[1].take(p), _TENS[2].take(p)
-    # with every p in 0..22, lo_p is 0 and 2**E is 1
-    if p.min() >= 292 and p.max() <= 314:
-        return _product(a, hi_p, hi_hi, hi_lo)
     b = a * _TENS[4].take(p)
-    hi, lo = _product(b, hi_p, hi_hi, hi_lo)
+    hi, lo = _product(b, _TENS[0].take(p), _TENS[1].take(p), _TENS[2].take(p))
     lo += b * _TENS[3].take(p)
     return hi, lo
 
@@ -271,7 +270,8 @@ def _rounded(hi, lo, X):
     # decade. No double in 1e-6..1e16 rounds up that far: its 17 digits read
     # back as itself, and no fl(10**k) there is below 10**k. Past that range
     # some do: fl(10**-305) and fl(10**98), among others, lie below 10**k by
-    # less than half a unit of their 17th digit
+    # less than half a unit of their 17th digit. No subnormal one does: each
+    # fl(10**k) for k in -323..-308 lies further than that from 10**k
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = n == 10**17
     n -= carry * (9 * 10**16)
@@ -279,10 +279,10 @@ def _rounded(hi, lo, X):
 
 
 def _digits(a):
-    """For normal floats a > 0: hi, lo and exponents X with hi + lo in
+    """For finite floats a > 0: hi, lo and exponents X with hi + lo in
     [1e16, 1e17) the value of a * 10**(16 - X), exactly for X in -6..16 and
     elsewhere with lo erring by less than _LO_ERROR."""
-    # log10 of a normal a floors into -308..308, the rows of the table
+    # log10 of a finite a floors into -324..308, the rows of the table
     x = np.log10(a)
     X = np.floor(x, out=x).astype(np.intp)
     hi, lo = _scaled(a, 16 - X)
@@ -306,36 +306,27 @@ def _row_bytes(xy) -> np.ndarray:
     its NULs it is the text of ``"%.17g,%.17g\\n"`` for each row."""
     v = xy.ravel()
     zero = v == 0.0
-    # a zero goes through as 1.0, so no operation sees it
+    # a zero goes through as 1.0, so no operation sees it, and so does an inf
+    # or a nan, whose row goes to %
     a = np.abs(v)
     a[zero] = 1.0
-    # the exact powers of ten scale a value with 1e-6 < |x| < 1e17 (the double
-    # nearest 1e-6 is below it); of the others, a subnormal, an inf or a nan
-    # goes through as 1.0 too, and its row to %
-    odd = np.flatnonzero(~((a > 1e-6) & (a < 1e17)))
-    if odd.size:
-        b = a.take(odd)
-        other = odd[~((b >= _TINY) & (b < math.inf))]
-        a[other] = 1.0
+    special = np.flatnonzero(~(a < math.inf))
+    a[special] = 1.0
     hi, lo, X = _digits(a)
-    percent = set()
-    if odd.size:
-        # and so does the row of a product that lies within the error of a
-        # half-integer, whose rounding is left unproven
-        b = lo.take(odd)
-        unsure = odd[np.abs(b - np.rint(b)) >= 0.5 - _LO_ERROR]
-        percent = set((np.concatenate([other, unsure]) // 2).tolist())
+    # and so does the row of a product that lies within the error of a
+    # half-integer, whose rounding is left unproven
+    unsure = np.flatnonzero(np.abs(lo - np.rint(lo)) >= 0.5 - _LO_ERROR)
     n, X = _rounded(hi, lo, X)
     first, n = _divmod(n, 10**16)
     upper, lower = _divmod(n, 10**8)
     groups = (*_divmod(upper.astype(np.int32), 10**4), *_divmod(lower.astype(np.int32), 10**4))
     last = np.maximum(np.maximum(_LAST[0].take(groups[0]), _LAST[1].take(groups[1])),
                       np.maximum(_LAST[2].take(groups[2]), _LAST[3].take(groups[3])))
-    X += 308
+    X += 324
     key = _FORMS.take(X)
     key += last
     # the second value of a row ends its line
-    X[1::2] += 617
+    X[1::2] += 633
     words = np.empty((v.size, 6), np.uint64)
     # a zero has the one digit 1 of 1.0, made 0
     first -= zero
@@ -346,7 +337,7 @@ def _row_bytes(xy) -> np.ndarray:
     words |= _TEXT.take(key, axis=0)
     words[:, 5] = _ENDS.take(X)
     rows = words.view(np.uint8).reshape(-1, 96)
-    for row in percent:
+    for row in set((np.concatenate([special, unsure]) // 2).tolist()):
         line = (f"{_NUMBER},{_NUMBER}\n" % tuple(xy[row].tolist())).encode()
         rows[row] = 0
         rows[row, :len(line)] = np.frombuffer(line, np.uint8)
@@ -361,15 +352,8 @@ def _csv_text(header: str, x, y) -> str:
     xy = np.empty((len(x), 2))
     xy[:, 0] = x
     xy[:, 1] = y
-    a = np.abs(xy)
-    kernel = ((a >= _TINY) & (a < math.inf)) | (xy == 0.0)
-    # a CSV with no row of two kernel values skips the kernel: it has no rows,
-    # or each has a subnormal, an inf or a nan. More kernel values than rows
-    # put two in one row
-    if np.count_nonzero(kernel) <= len(xy) and not (kernel[:, 0] & kernel[:, 1]).any():
-        return f"{header}\n" + (f"{_NUMBER},{_NUMBER}\n" * len(xy)) % tuple(xy.ravel().tolist())
     # in equal blocks of at most _ROWS rows
-    blocks = np.array_split(xy, -(-len(xy) // _ROWS))
+    blocks = np.array_split(xy, -(-len(xy) // _ROWS) or 1)
     text = b"".join(_row_bytes(block).tobytes().translate(None, b"\0") for block in blocks)
     return f"{header}\n" + text.decode("ascii")
 
@@ -824,9 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse reads "-1e-05" as an option (its negative-number pattern has no
-# exponent), so a flag followed by a negative number becomes --flag=value
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
+# argparse reads "-1e-05" and "-inf" as options (its negative-number pattern
+# has no exponent and no inf or nan), so a flag followed by a negative number,
+# as float() reads one, becomes --flag=value
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)", re.IGNORECASE)
 
 
 # a parser depends on no job data, and argparse keeps no state between

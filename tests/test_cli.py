@@ -40,6 +40,7 @@ from tdacsim import (
     core,
     dual_exp_waveform,
     leaky_voltage,
+    simulate_leaky,
 )
 from tdacsim.cli import main
 
@@ -727,6 +728,18 @@ def test_negative_value_in_e_notation_is_a_value(tmp_path):
     assert run_cli(["transfer", "--q", -3, "--ratio", 0.5, "--out", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-INF", "-NaN"])
+def test_negative_non_finite_flag_value_is_a_value(value, tmp_path, capsys):
+    # float() reads each of these, so the flag fails as the config file does
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment=waveform\ncode=1\nbase.tw=1\nleak.v0={value}\n")
+    for argv in (["waveform", "--code", "1", "--tw", 1, "--v0", value], ["--config", cfg]):
+        assert run_cli([*argv, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: v0 must be finite\n"
+    assert not (tmp_path / "out").exists()
+    assert run_cli(["waveform", "--code", "1", "--tw", 1, "--v0", f"{value}x"]) == 2
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["fit", "--input", "f.csv"], None, "fit needs model"),
     (["reproduce"], None, "reproduce needs figure"),
@@ -1219,6 +1232,7 @@ def csv_columns(draw):
 @example((np.array([0]), np.array([-0.0])))
 @example((np.array([1.7e308]), np.array([-1.7e308])))
 @example((np.array([2**16 - 1, 5]), np.array([5e-324, 2.2250738585072014e-308])))
+@example((np.zeros(0), np.zeros(0)))
 def test_csv_text_equals_the_per_row_rule(columns):
     x, y = columns
     assert cli._csv_text("x,y", x, y) == per_row_csv_text("x,y", x, y)
@@ -1238,15 +1252,16 @@ def _ulp_neighbours(values):
     return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
 
 
-# the exponent X in -6..15 of a value the CSV kernel formats, by p = 16 - X
+# p = 16 - X for the exponent X in -6..15 of a value that an exact power of
+# ten scales; the kernel's own range is every finite value
 _KERNEL_P = range(1, 23)
 
 
 def _seventeenth_digit_ties():
     # |x| = r / 2**(p + 1) with r odd and r * 5**p in [2e16, 2e17) scales to
     # x * 10**p = r * 5**p / 2, exactly halfway between two 17-digit integers.
-    # For p = 0, X = 16 is past the kernel's range, and such an x would be
-    # an odd half-integer above 1e16, which no double is
+    # p = 0 has none: such an x would be an odd half-integer above 1e16, which
+    # no double is
     ties = []
     for p in _KERNEL_P:
         lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
@@ -1258,13 +1273,26 @@ def _seventeenth_digit_ties():
     return np.array(ties)
 
 
+def _powers(mantissa, exponents):
+    # the doubles nearest mantissa * 10**k, as a literal reads
+    return np.array([float(f"{mantissa}e{k}") for k in exponents])
+
+
 def _alternating(first, second, runs):
     # runs of the two values, of the given lengths in turn
     return np.concatenate([np.full(n, (first, second)[i % 2]) for i, n in enumerate(runs)])
 
 
 _RUNS = [1, 1, 2, 1, 3, 5, 1, 1, 8, 2, 13, 1]
-_FALLBACK = [5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf, math.nan]
+# the values whose rows % writes, whatever the rest of the row
+_FALLBACK = [math.inf, -math.inf, math.nan]
+_SMALLEST_NORMAL, _LARGEST_SUBNORMAL = 2.2250738585072014e-308, 2.225073858507201e-308
+
+
+def _odd_multiples_of_powers_of_two(exponents):
+    # m * 2**e for odd m < 200, as far as it stays finite
+    values = np.ldexp(np.arange(1.0, 200.0, 2.0)[:, None], np.asarray(exponents)[None, :]).ravel()
+    return values[values < math.inf]
 
 
 @pytest.mark.parametrize("values", [
@@ -1274,8 +1302,12 @@ _FALLBACK = [5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf, math.
     _seventeenth_digit_ties(),
     np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-5, 1e-4, 1e15, 9999999999999998.0]),
     np.array(_FALLBACK),
+    _ulp_neighbours(np.concatenate([_powers(1, range(-323, -307)), -_powers(1, range(-323, -307))])),
+    np.concatenate([_ulp_neighbours([5e-324, -5e-324, _LARGEST_SUBNORMAL, -_LARGEST_SUBNORMAL]),
+                    [_SMALLEST_NORMAL, 1e-323, 1e-320, 3e-310]]),
+    _odd_multiples_of_powers_of_two(range(-1074, -1021)),
 ], ids=["ulps-of-powers", "ulps-of-negative-powers", "fallback-edges", "ties", "plain",
-        "all-fallback"])
+        "all-fallback", "ulps-of-subnormal-powers", "subnormal-edges", "subnormal-odd-multiples"])
 def test_csv_text_at_the_kernel_edges(values):
     # every value in both columns, next to a code and next to each other value
     codes = np.arange(values.size)
@@ -1290,7 +1322,7 @@ def test_csv_text_of_code_columns():
     assert_per_row_text("code,v_out", codes, values)
 
 
-@pytest.mark.parametrize("fallback", [1e-7, -3e-310, 1e16, math.inf])
+@pytest.mark.parametrize("fallback", _FALLBACK)
 def test_csv_text_splices_fallback_runs_in_order(fallback):
     kernel = _alternating(0.25, -1e-3, _RUNS)
     rows = _alternating(0.75, fallback, _RUNS)
@@ -1299,20 +1331,16 @@ def test_csv_text_splices_fallback_runs_in_order(fallback):
         assert_per_row_text("x,y", x, y)
 
 
-def test_csv_text_without_kernel_rows_skips_the_kernel(monkeypatch):
-    def refuse(block):
-        raise AssertionError("the kernel ran")
-
-    x = np.array(_FALLBACK)
-    expected = per_row_csv_text("x,y", x, np.arange(x.size))
-    monkeypatch.setattr(cli, "_row_bytes", refuse)
-    assert cli._csv_text("x,y", x, np.arange(x.size)) == expected
-    assert cli._csv_text("x,y", np.zeros(0), np.zeros(0)) == "x,y\n"
-
-
-def _powers(mantissa, exponents):
-    # the doubles nearest mantissa * 10**k, as a literal reads
-    return np.array([float(f"{mantissa}e{k}") for k in exponents])
+def test_csv_text_writes_no_subnormal_row_with_percent(monkeypatch):
+    # a fast leak ends a waveform in subnormal values; with % writing %r, a
+    # row that reached it would lose its 17-digit text
+    config = TdacConfig(q=8, t_w=0.005, tau2=1.0)
+    wf = simulate_leaky(config, LeakConfig(tau1=0.003), DigitalCode.from_int(255, 8), t_end=20.0)
+    a = np.abs(wf.values)
+    assert ((a > 0.0) & (a < _SMALLEST_NORMAL)).sum() >= 10
+    expected = per_row_csv_text("t,v", wf.times, wf.values)
+    monkeypatch.setattr(cli, "_NUMBER", "%r")
+    assert cli._csv_text("t,v", wf.times, wf.values) == expected
 
 
 def _wide_ties():
@@ -1330,13 +1358,7 @@ def _wide_ties():
     return np.array(ties)
 
 
-def _odd_multiples_of_powers_of_two():
-    # m * 2**e for odd m < 200 over every exponent that keeps it normal
-    values = np.ldexp(np.arange(1.0, 200.0, 2.0)[:, None], np.arange(-1022, 1017)[None, :]).ravel()
-    return values[(values >= 2.2250738585072014e-308) & (values < math.inf)]
-
-
-_SMALLEST_NORMAL, _LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
+_LARGEST = 1.7976931348623157e308
 
 
 @pytest.mark.parametrize("values", [
@@ -1347,7 +1369,7 @@ _SMALLEST_NORMAL, _LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
                     np.nextafter([_LARGEST, _LARGEST], 0.0), [_LARGEST],
                     [1e-6, -1e-6, 9.9999999999999995e-07, 1e-7, 1e-300, 1e16, -1e16, 1e17, 1.7e308]]),
     _wide_ties(),
-    _odd_multiples_of_powers_of_two(),
+    _odd_multiples_of_powers_of_two(range(-1022, 1017)),
 ], ids=["ulps-of-powers", "ulps-of-negative-powers", "ulps-of-five-powers", "normal-edges", "ties",
         "odd-multiples-of-powers-of-two"])
 def test_csv_text_over_the_whole_normal_range(values):
@@ -1358,27 +1380,27 @@ def test_csv_text_over_the_whole_normal_range(values):
 
 
 def test_csv_text_on_random_normal_values():
-    # 10**6 values with random sign and mantissa and an exponent uniform over
-    # the whole normal range
+    # 10**6 values with random sign and mantissa and an exponent field
+    # uniform over the whole finite range, field 0 of the subnormals included
     rng = np.random.default_rng(29)
     bits = np.frombuffer(rng.bytes(8 * 10**6), np.uint64) & ~np.uint64(0x7FF << 52)
-    bits |= rng.integers(1, 2047, bits.size).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2047, bits.size).astype(np.uint64) << np.uint64(52)
     values = bits.view(np.float64)
     assert_per_row_text("x,y", values[0::2], values[1::2])
 
 
 @pytest.mark.parametrize("wide", [1e-7, -3e-300, 1e17, -1.7e308])
 def test_csv_text_formats_unproven_rows_with_percent(monkeypatch, wide):
-    # no rounding past the exact powers of ten is proven, and the values
-    # scaled there are one unit off in their 17th digit, so a row that kept
-    # its kernel digits would differ from %
+    # a value scaled past the exact powers of ten gets a lo just past a
+    # half-integer, which the certificate leaves unproven and which rounds
+    # one unit up in its 17th digit, so a row that kept its kernel digits
+    # would differ from %; the values of exact powers keep theirs
     scaled = cli._scaled
 
     def off_by_one(a, p):
         hi, lo = scaled(a, p)
-        return hi, lo + (cli._TENS[3, p + 292] != 0.0)
+        return hi, np.where(cli._TENS[3, p + 292] != 0.0, np.rint(lo) + (0.5 + 2.0**-40), lo)
 
-    monkeypatch.setattr(cli, "_LO_ERROR", 0.5)
     monkeypatch.setattr(cli, "_scaled", off_by_one)
     kernel = _alternating(0.25, -1e-3, _RUNS)
     rows = _alternating(0.75, wide, _RUNS)
@@ -1389,25 +1411,27 @@ def test_csv_text_formats_unproven_rows_with_percent(monkeypatch, wide):
 
 
 def test_csv_text_leaves_the_floating_point_state():
-    values = np.concatenate([_ulp_neighbours(_powers(1, range(-307, 309))), _FALLBACK])
+    finite = np.concatenate([[0.0, -0.0], _ulp_neighbours(_powers(1, range(-323, 309))),
+                             _odd_multiples_of_powers_of_two(range(-1074, -1021))])
+    values = np.concatenate([finite, _FALLBACK])
     before = np.geterr()
     assert_per_row_text("x,y", values, values[::-1])
     assert np.geterr() == before
-    # and no operation on a zero or a normal value raises a floating-point flag
-    normal = np.concatenate([[0.0, -0.0], _ulp_neighbours(_powers(1, range(-307, 309)))])
+    # and no operation on a finite value, zero or subnormal included, raises
+    # a floating-point flag
     with np.errstate(all="raise"):
-        assert_per_row_text("x,y", normal, normal[::-1])
+        assert_per_row_text("x,y", finite, finite[::-1])
 
 
 def test_power_of_ten_table():
     # 10**p == (hi + lo) * 2**E within the relative 2**-106 that the error
     # bound of the double-double scaling assumes, exactly for p in 0..22
-    assert cli._TENS.shape == (5, 617)
-    for p in range(-292, 325):
+    assert cli._TENS.shape == (5, 633)
+    for p in range(-292, 341):
         hi, hi_hi, hi_lo, lo, power = map(float, cli._TENS[:, p + 292])
         exact = Fraction(10) ** p / Fraction(power)
         assert math.frexp(power)[0] == 0.5 and power <= 2.0**1023
-        assert 1.0 <= hi < 2.0 or power == 2.0**1023 and 1.0 <= hi < 2.0**54 or hi == 10**p
+        assert 1.0 <= hi < 2.0 or power == 2.0**1023 and 1.0 <= hi < 2.0**107 or hi == 10**p
         assert abs(lo) <= hi * 2.0**-53
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
         assert (lo == 0.0) == (0 <= p <= 22) == (power == 1.0)
@@ -1416,7 +1440,7 @@ def test_power_of_ten_table():
 
 def test_csv_text_on_random_bit_patterns():
     # 10**6 patterns: half keep their bits, half get an exponent of the
-    # kernel's range (2**-20 .. 2**53) with their own sign and mantissa
+    # exact powers' range (2**-20 .. 2**53) with their own sign and mantissa
     bits = np.frombuffer(np.random.default_rng(28).bytes(8 * 10**6), np.uint64).copy()
     near = bits[: bits.size // 2]
     exponent = np.uint64(1003) + (near >> np.uint64(52)) % np.uint64(74)
@@ -1445,6 +1469,9 @@ def test_seventeen_digit_rounding_carries_into_the_next_decade():
     n, exponent = cli._rounded(hi, lo, exponent)
     assert (n == 10**16).all() and (exponent == k).all()
     assert_per_row_text("x,y", values, -values)
+    # and no subnormal fl(10**k) carries
+    hi, lo, exponent = cli._digits(_powers(1, range(-323, -307)))
+    assert (cli._rounded(hi, lo, exponent)[1] == exponent).all()
 
 
 # --- byte identity ------------------------------------------------------------------
