@@ -21,7 +21,7 @@ from .core import (
     code_sums,
     convert_closed_form,
 )
-from .ode import LeakConfig, Waveform, _leaky_values, _sample_times
+from .ode import LeakConfig, Waveform, simulate_leaky
 
 SIGN_BIT = 8
 MAGNITUDE_BITS = 7
@@ -97,23 +97,15 @@ def simulate_signed_leaky(
     Only the seven magnitude bits gate drive slots; the sign bit flips
     the polarity of the drive (and of the initial condition), so equal-gain
     waveforms of opposite sign are exact mirror images about the baseline.
-    As in ``simulate_leaky``, the engine's one scope raises
-    ``FloatingPointError`` on a product past the float range, and the
-    returned waveform keeps the engine's arrays, with only its values checked.
+    The magnitude runs through ``simulate_leaky``, whose checks and errors
+    come first; a baseline add past the float range then raises
+    ``FloatingPointError``. The returned waveform keeps the engine's times.
     """
     positive, magnitude = _split_code(code)
     gain = config.gain_pos if positive else config.gain_neg
     sign = 1.0 if positive else -1.0
-    cfg = _magnitude_config(config, gain)
-    # simulate_leaky's steps; the magnitude has the width of cfg by construction
-    times = _sample_times(cfg, leak, t_end, dt_out)
-    v = _leaky_values(cfg, replace(leak, v0=sign * leak.v0), magnitude, times)
+    wf = simulate_leaky(_magnitude_config(config, gain), replace(leak, v0=sign * leak.v0),
+                        magnitude, t_end, dt_out)
     with np.errstate(over="raise"):
-        try:
-            values = config.baseline + sign * v
-        except FloatingPointError:
-            # a state past the float range (inf or nan in v) takes precedence
-            # over an add that overflows at another sample
-            Waveform(times, v)
-            raise
-    return Waveform._own(times, values)
+        values = config.baseline + sign * wf.values
+    return Waveform._own(wf.times, values)

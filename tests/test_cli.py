@@ -34,6 +34,7 @@ from tdacsim import (
     LeakConfig,
     TdacConfig,
     Waveform,
+    _csvtext,
     alpha_waveform,
     cli,
     convert_quadrature,
@@ -1207,11 +1208,11 @@ def test_text_rule_is_17_digits():
 ], ids=["floats", "codes"])
 def test_csv_rows_follow_the_text_rule(x, y):
     rows = "".join(f"{reference_text(a)},{reference_text(b)}\n" for a, b in zip(x, y))
-    assert cli._csv_text("x,y", np.array(x), np.array(y)) == "x,y\n" + rows
+    assert _csvtext.csv_text("x,y", np.array(x), np.array(y)) == "x,y\n" + rows
 
 
 def per_row_csv_text(header, x, y):
-    """The row-at-a-time rule that ``_csv_text`` formats in one call."""
+    """The row-at-a-time rule that ``csv_text`` formats in one call."""
     return "\n".join([header, *("%.17g,%.17g" % xy for xy in zip(x.tolist(), y.tolist()))]) + "\n"
 
 
@@ -1235,12 +1236,12 @@ def csv_columns(draw):
 @example((np.zeros(0), np.zeros(0)))
 def test_csv_text_equals_the_per_row_rule(columns):
     x, y = columns
-    assert cli._csv_text("x,y", x, y) == per_row_csv_text("x,y", x, y)
+    assert _csvtext.csv_text("x,y", x, y) == per_row_csv_text("x,y", x, y)
 
 
 def assert_per_row_text(header, x, y):
     # names the first row that differs, not a diff of two long texts
-    got, want = cli._csv_text(header, x, y), per_row_csv_text(header, x, y)
+    got, want = _csvtext.csv_text(header, x, y), per_row_csv_text(header, x, y)
     if got != want:
         rows = zip(got.split("\n"), want.split("\n"))
         row, (line, expected) = next((i, pair) for i, pair in enumerate(rows) if pair[0] != pair[1])
@@ -1339,8 +1340,31 @@ def test_csv_text_writes_no_subnormal_row_with_percent(monkeypatch):
     a = np.abs(wf.values)
     assert ((a > 0.0) & (a < _SMALLEST_NORMAL)).sum() >= 10
     expected = per_row_csv_text("t,v", wf.times, wf.values)
-    monkeypatch.setattr(cli, "_NUMBER", "%r")
-    assert cli._csv_text("t,v", wf.times, wf.values) == expected
+    monkeypatch.setattr(_csvtext, "_NUMBER", "%r")
+    assert _csvtext.csv_text("t,v", wf.times, wf.values) == expected
+
+
+# a subnormal v0 that a 1e9 leak keeps: the waveform's times are exact binary
+# fractions, many of them ties of their 17th digit under an exact power of ten
+PERCENT_RUNS = {
+    "ties": ["waveform", "--code", "0000", "--v0", "5e-324", "--tau1", "1e9", "--tw", "1"],
+    **{figure: ["reproduce", figure] for figure in cli._FIGURES},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERCENT_RUNS))
+def test_no_figure_or_tie_row_is_written_with_percent(case, monkeypatch, tmp_path):
+    # with % writing %r, a row that reached it would lose its 17-digit text
+    monkeypatch.setattr(_csvtext, "_NUMBER", "%r")
+    assert run_cli([*PERCENT_RUNS[case], "--out", tmp_path]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        header, rows = read_rows(path)
+        values = np.array([row.split(",") for row in rows], float)
+        want = per_row_csv_text(header, values[:, 0], values[:, 1]).splitlines()[1:]
+        differ = [(row, expected) for row, expected in zip(rows, want) if row != expected]
+        assert not differ, f"{path.name}: {len(differ)} rows by %, the first {differ[0]}"
 
 
 def _wide_ties():
@@ -1395,13 +1419,13 @@ def test_csv_text_formats_unproven_rows_with_percent(monkeypatch, wide):
     # half-integer, which the certificate leaves unproven and which rounds
     # one unit up in its 17th digit, so a row that kept its kernel digits
     # would differ from %; the values of exact powers keep theirs
-    scaled = cli._scaled
+    scaled = _csvtext._scaled
 
     def off_by_one(a, p):
         hi, lo = scaled(a, p)
-        return hi, np.where(cli._TENS[3, p + 292] != 0.0, np.rint(lo) + (0.5 + 2.0**-40), lo)
+        return hi, np.where(_csvtext._TENS[3, p + 292] != 0.0, np.rint(lo) + (0.5 + 2.0**-40), lo)
 
-    monkeypatch.setattr(cli, "_scaled", off_by_one)
+    monkeypatch.setattr(_csvtext, "_scaled", off_by_one)
     kernel = _alternating(0.25, -1e-3, _RUNS)
     rows = _alternating(0.75, wide, _RUNS)
     ramp = np.linspace(-2.0, 2.0, rows.size)
@@ -1426,16 +1450,16 @@ def test_csv_text_leaves_the_floating_point_state():
 def test_power_of_ten_table():
     # 10**p == (hi + lo) * 2**E within the relative 2**-106 that the error
     # bound of the double-double scaling assumes, exactly for p in 0..22
-    assert cli._TENS.shape == (5, 633)
+    assert _csvtext._TENS.shape == (5, 633)
     for p in range(-292, 341):
-        hi, hi_hi, hi_lo, lo, power = map(float, cli._TENS[:, p + 292])
+        hi, hi_hi, hi_lo, lo, power = map(float, _csvtext._TENS[:, p + 292])
         exact = Fraction(10) ** p / Fraction(power)
         assert math.frexp(power)[0] == 0.5 and power <= 2.0**1023
         assert 1.0 <= hi < 2.0 or power == 2.0**1023 and 1.0 <= hi < 2.0**107 or hi == 10**p
         assert abs(lo) <= hi * 2.0**-53
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
         assert (lo == 0.0) == (0 <= p <= 22) == (power == 1.0)
-        assert (hi_hi, hi_lo) == cli._split(hi) and hi_hi + hi_lo == hi
+        assert (hi_hi, hi_lo) == _csvtext._split(hi) and hi_hi + hi_lo == hi
 
 
 def test_csv_text_on_random_bit_patterns():
@@ -1456,22 +1480,22 @@ def test_seventeen_digit_rounding_carries_into_the_next_decade():
     # to 10**17, which is 10**16 of the next decade, ties to even
     hi = np.array([1e17, 1e17, 1e17, 99999999999999984.0, 1e16])
     lo = np.array([-0.25, -0.5, -0.75, 6.0, 0.5])
-    n, exponent = cli._rounded(hi, lo, np.full(hi.size, 3))
+    n, exponent = _csvtext._rounded(hi, lo, np.full(hi.size, 3))
     assert n.tolist() == [10**16, 10**16, 10**17 - 1, 99999999999999990, 10**16]
     assert exponent.tolist() == [4, 4, 3, 3, 3]
     # past that range doubles reach it: each fl(10**k) here lies below 10**k
     # by less than half a unit of its 17th digit
     k = np.array([-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220])
     values = _powers(1, k.tolist())
-    hi, lo, exponent = cli._digits(values)
+    hi, lo, exponent = _csvtext._digits(values)
     assert (hi == 1e17).all() and (-0.5 < lo).all() and (lo < 0.0).all()
     assert (exponent == k - 1).all()
-    n, exponent = cli._rounded(hi, lo, exponent)
+    n, exponent = _csvtext._rounded(hi, lo, exponent)
     assert (n == 10**16).all() and (exponent == k).all()
     assert_per_row_text("x,y", values, -values)
     # and no subnormal fl(10**k) carries
-    hi, lo, exponent = cli._digits(_powers(1, range(-323, -307)))
-    assert (cli._rounded(hi, lo, exponent)[1] == exponent).all()
+    hi, lo, exponent = _csvtext._digits(_powers(1, range(-323, -307)))
+    assert (_csvtext._rounded(hi, lo, exponent)[1] == exponent).all()
 
 
 # --- byte identity ------------------------------------------------------------------
