@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LN2, TdacConfig, _require_curve_width, _slot_weights, code_sums
-from .ode import Waveform, _alpha_model, _dual_model, peak_of
+from .core import LN2, TdacConfig, _freeze, _require_curve_width, _slot_weights, code_sums
+from .ode import TAU_DEGENERACY_BAND, Waveform, _alpha_model, _dual_model, peak_of
 
 # the calibrated width must lie this fraction of tau2 inside the search bounds
 _CALIBRATION_MARGIN = 1e-6
@@ -37,8 +37,7 @@ class TransferCurve:
             raise ValueError("curve must cover every code of a width q >= 1")
         if not np.isfinite(v).all():
             raise ValueError("transfer curve outputs must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "outputs", v)
+        _freeze(self, outputs=v)
 
     @classmethod
     def _own(cls, outputs: np.ndarray) -> TransferCurve:
@@ -46,10 +45,7 @@ class TransferCurve:
         # without a copy, so only its values are checked
         if not np.isfinite(outputs).all():
             raise ValueError("transfer curve outputs must be finite")
-        outputs.flags.writeable = False
-        self = object.__new__(cls)
-        object.__setattr__(self, "outputs", outputs)
-        return self
+        return _freeze(object.__new__(cls), outputs=outputs)
 
     def __len__(self) -> int:
         return self.outputs.size
@@ -152,7 +148,7 @@ def _theta_ok(theta) -> bool:
     if not all(map(math.isfinite, values)) or min(taus) <= 0.0:
         return False
     # a two-constant model keeps clear of the degenerate tau1 == tau2 ridge
-    return len(taus) == 1 or abs(taus[0] - taus[1]) >= 1e-9 * max(taus)
+    return len(taus) == 1 or abs(taus[0] - taus[1]) >= TAU_DEGENERACY_BAND * max(taus)
 
 
 def _damped_least_squares(model_fn, theta0, t, v, max_iterations, sse_floor):

@@ -162,8 +162,8 @@ def _read_waveform_csv(path) -> Waveform:
         raise ValueError("line 1: empty input file")
     if lines[0].strip() != "t,v":
         raise ValueError("line 1: expected header 't,v'")
-    # numpy's C reader converts each field as float() does; a body it refuses
-    # or warns about (no data rows) goes to the line walk, which names the line
+    # a body numpy's C reader refuses or warns about (no data rows) goes to the line
+    # walk, which names the line; its float() also reads what numpy refuses, such as 1_0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -345,8 +345,8 @@ def _run_reproduce(params):
 
 # command -> (runner, help); the sweeps have no flags and run from config files only.
 # A runner computes every output from its parameters and returns its files as
-# (label, name, text), its stdout as (key, value) pairs and its exit status; it
-# writes nothing and formats no number.
+# (label, name, text), its stdout as (key, value) pairs and its exit status. It writes
+# nothing; it formats its files' text (CSV, manifests), and _emit formats the stdout pairs.
 _COMMANDS = {
     "transfer": (_run_transfer, "full transfer curve plus linearity summary"),
     "waveform": (_run_waveform, "leaky-mode output waveform for one code"),

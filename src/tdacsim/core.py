@@ -26,6 +26,28 @@ def _require_sample_budget(samples: float, request: str) -> None:
         raise ValueError(f"{request} asks for more than {MAX_SAMPLES} samples")
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
+    return value
+
+
+def _freeze(obj, **arrays):
+    # set each array, made read-only, on the frozen dataclass obj
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+    return obj
+
+
 @dataclass(frozen=True)
 class DigitalCode:
     """Bit vector of length q, stored LSB first: ``bits[0]`` is B_1."""
@@ -77,13 +99,9 @@ class TdacConfig:
         if self.q < 1:
             raise ValueError("bit count q must be >= 1")
         for name in ("t_w", "v_set", "tau2", "c_out"):
-            x = float(getattr(self, name))
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         # the leaky propagator divides by tau2
-        if not math.isfinite(1.0 / self.tau2):
-            raise ValueError("1 / tau2 must be finite")
+        _finite("1 / tau2", 1.0 / self.tau2)
 
 
 def _require_matching_width(config: TdacConfig, code: DigitalCode) -> None:

@@ -20,7 +20,15 @@ from operator import mul
 
 import numpy as np
 
-from .core import DigitalCode, TdacConfig, _require_matching_width, _require_sample_budget
+from .core import (
+    DigitalCode,
+    TdacConfig,
+    _finite,
+    _freeze,
+    _positive,
+    _require_matching_width,
+    _require_sample_budget,
+)
 
 # relative |tau1 - tau2| below which the two-constant response is treated
 # as the equal-constant (alpha) case
@@ -38,16 +46,10 @@ class LeakConfig:
     v0: float = 0.0
 
     def __post_init__(self):
-        tau1 = float(self.tau1)
-        v0 = float(self.v0)
-        if not (math.isfinite(tau1) and tau1 > 0.0):
-            raise ValueError("tau1 must be finite and positive")
-        if not math.isfinite(1.0 / tau1):
-            raise ValueError("1 / tau1 must be finite")
-        if not math.isfinite(v0):
-            raise ValueError("v0 must be finite")
-        object.__setattr__(self, "tau1", tau1)
-        object.__setattr__(self, "v0", v0)
+        tau1, v0 = float(self.tau1), float(self.v0)
+        object.__setattr__(self, "tau1", _positive("tau1", tau1))
+        _finite("1 / tau1", 1.0 / tau1)
+        object.__setattr__(self, "v0", _finite("v0", v0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +68,7 @@ class Waveform:
             raise ValueError("waveform times and values must be finite")
         if not (t[1:] > t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
-        t.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        _freeze(self, times=t, values=v)
 
     @classmethod
     def _own(cls, times: np.ndarray, values: np.ndarray) -> Waveform:
@@ -78,12 +77,7 @@ class Waveform:
         # only the values are checked
         if not np.isfinite(values).all():
             raise ValueError("waveform times and values must be finite")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        self = object.__new__(cls)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        return self
+        return _freeze(object.__new__(cls), times=times, values=values)
 
     def __len__(self) -> int:
         return self.times.size
@@ -206,13 +200,6 @@ def _leaky_values(config: TdacConfig, leak: LeakConfig, code: DigitalCode, t: np
             s = s * d + g
             states.append(s)
         return np.repeat(states, counts) * decay[n:] + drive[n:]
-
-
-def _positive(name: str, value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive")
-    return value
 
 
 def default_t_end(config: TdacConfig, leak: LeakConfig) -> float:
@@ -388,8 +375,7 @@ def _dual_model(theta, t, jac=True):
 
 def alpha_waveform(v_set: float, tau1: float, t):
     """Equal-time-constant synaptic shape t * v_set * exp(-t / tau1)."""
-    if not (math.isfinite(tau1) and tau1 > 0.0):
-        raise ValueError("tau1 must be finite and positive")
+    _positive("tau1", tau1)
     out = _alpha_model((v_set, tau1), np.asarray(t, dtype=float), jac=False)
     return float(out) if out.ndim == 0 else out
 

@@ -7,20 +7,12 @@ are the dual zeros of the encoding and both land exactly on the baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import TransferCurve
-from .core import (
-    DigitalCode,
-    TdacConfig,
-    _require_finite,
-    _slot_weights,
-    code_sums,
-    convert_closed_form,
-)
+from .analysis import TransferCurve, transfer_curve
+from .core import DigitalCode, TdacConfig, _finite, _positive, _require_finite, convert_closed_form
 from .ode import LeakConfig, Waveform, simulate_leaky
 
 SIGN_BIT = 8
@@ -45,14 +37,8 @@ class SignedTdacConfig:
         if self.base.q != 8:
             raise ValueError("the signed converter is eight bits wide (base.q == 8)")
         for name in ("gain_pos", "gain_neg"):
-            g = float(getattr(self, name))
-            if not (math.isfinite(g) and g > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, g)
-        baseline = float(self.baseline)
-        if not math.isfinite(baseline):
-            raise ValueError("baseline must be finite")
-        object.__setattr__(self, "baseline", baseline)
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        object.__setattr__(self, "baseline", _finite("baseline", self.baseline))
 
 
 def _split_code(code: DigitalCode) -> tuple[bool, DigitalCode]:
@@ -77,7 +63,7 @@ def convert_signed(config: SignedTdacConfig, code: DigitalCode) -> float:
 
 def signed_transfer_curve(config: SignedTdacConfig) -> TransferCurve:
     """All 256 signed outputs in code order: codes below 128 are negative."""
-    v7 = code_sums(_slot_weights(_magnitude_config(config)))
+    v7 = transfer_curve(_magnitude_config(config)).outputs
     with np.errstate(over="raise"):
         outputs = np.concatenate(
             [config.baseline - config.gain_neg * v7, config.baseline + config.gain_pos * v7]

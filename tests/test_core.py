@@ -3,6 +3,7 @@ paths."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,45 @@ def test_config_validation():
         TdacConfig(q=4, t_w=1.0, tau2=0.0)
     cfg = TdacConfig(q=4, t_w=0.5, tau2=2.0)
     assert (cfg.q, cfg.t_w, cfg.tau2, cfg.v_set, cfg.c_out) == (4, 0.5, 2.0, 1.0, 1.0)
+
+
+def _rejections():
+    # (call, exact message) for each bad field of a config or window, one at a time
+    base = TdacConfig(q=4, t_w=1.0)
+    leak, code = tdacsim.LeakConfig(tau1=1.0), DigitalCode.from_int(5, 4)
+    signed = TdacConfig(q=8, t_w=LN2)
+    not_positive = [0.0, -1.0, math.nan, math.inf]
+    cases = []
+    for bad in not_positive:
+        for name in ("t_w", "v_set", "tau2", "c_out"):
+            cases.append((lambda n=name, b=bad: dataclasses.replace(base, **{n: b}), name))
+        cases.append((lambda b=bad: tdacsim.LeakConfig(tau1=b), "tau1"))
+        for name in ("gain_pos", "gain_neg"):
+            cases.append((lambda n=name, b=bad: tdacsim.SignedTdacConfig(signed, **{n: b}), name))
+        for simulate, step in ((tdacsim.simulate_leaky, "dt_out"),
+                               (tdacsim.simulate_leaky_numeric, "dt")):
+            cases.append((lambda f=simulate, b=bad: f(base, leak, code, b, 0.01), "t_end"))
+            cases.append((lambda f=simulate, b=bad: f(base, leak, code, 2.0, b), step))
+        cases.append((lambda b=bad: tdacsim.alpha_waveform(1.0, b, 1.0), "tau1"))
+    cases = [(call, f"{name} must be finite and positive") for call, name in cases]
+    for bad in (math.nan, math.inf, -math.inf):
+        cases.append((lambda b=bad: tdacsim.LeakConfig(tau1=1.0, v0=b), "v0 must be finite"))
+        cases.append((lambda b=bad: tdacsim.SignedTdacConfig(signed, baseline=b),
+                      "baseline must be finite"))
+    cases += [
+        (lambda: TdacConfig(q=4, t_w=1.0, tau2=5e-324), "1 / tau2 must be finite"),
+        (lambda: tdacsim.LeakConfig(tau1=5e-324), "1 / tau1 must be finite"),
+        # with two bad fields, the first in check order is named
+        (lambda: tdacsim.LeakConfig(tau1=-1.0, v0=math.nan), "tau1 must be finite and positive"),
+        (lambda: TdacConfig(q=8, t_w=0.0, v_set=math.nan), "t_w must be finite and positive"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("call, message", _rejections())
+def test_every_config_and_window_rejection_names_its_field(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # --- convert_closed_form ---------------------------------------------------

@@ -85,6 +85,20 @@ def test_convert_signed_rejects_non_finite_output(base, gain_pos):
         convert_signed(cfg, DigitalCode.from_string("11000000"))
 
 
+@pytest.mark.parametrize("base, kwargs, error, message", [
+    # v_set * tau2 / c_out = 1e310: the magnitude curve itself is not finite
+    (TdacConfig(q=8, t_w=LN2, v_set=1e300, c_out=1e-10), {}, ValueError,
+     "transfer curve outputs must be finite"),
+    (TdacConfig(q=8, t_w=LN2, v_set=1e300), {"gain_pos": 1e10}, FloatingPointError,
+     "overflow encountered in multiply"),
+    (TdacConfig(q=8, t_w=LN2, v_set=1e308), {"baseline": -1.7e308}, FloatingPointError,
+     "overflow encountered in subtract"),
+], ids=["magnitude", "gain", "baseline"])
+def test_signed_transfer_curve_rejects_a_curve_past_the_float_range(base, kwargs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        signed_transfer_curve(_scfg(base=base, **kwargs))
+
+
 def test_gain_pos_scales_only_positive_region():
     cfg = _scfg()
     v = signed_transfer_curve(cfg).outputs
