@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .core import (
 # as the equal-constant (alpha) case
 TAU_DEGENERACY_BAND = 1e-9
 
-# RK4 steps whose widths and drive ``simulate_leaky_numeric`` builds at once
+# RK4 steps whose widths and exponents ``simulate_leaky_numeric`` builds at
+# once; the drive products are formed in its step loop
 _RK4_BLOCK = 1024
 
 
@@ -282,13 +283,14 @@ def simulate_leaky_numeric(
     0.1 min(tau1, tau2), where the error measured below 1e-6 (v_set tau1 + |v0|).
 
     The step ends of all stretches are built as one array. Each block of
-    1,024 steps then gets its step widths and its drive at the start, middle
-    and end of each step (level exp(-t / tau2), level v_set where driven and
-    0.0 where not, with ``math.exp``) from array operations and ``map``, so
-    that only the recurrence in V runs step by step in Python. Each operation
-    is the scalar one of a step-by-step loop, so the samples equal that
-    loop's bit for bit. The returned waveform keeps the step ends and the
-    samples without a copy, and only the samples are checked.
+    1,024 steps gets its step widths and exponents -t / tau2 from array
+    operations. One loop walks the block's runs of equal gate: a driven run
+    takes the ``math.exp`` of each step's middle and end and multiplies
+    v_set into them; an undriven run has level 0.0 and evaluates no exp, yet
+    still adds its +0.0 drive (a -0.0 state becomes +0.0). Each operation is
+    the scalar one of a step-by-step loop, so the samples equal that loop's
+    bit for bit. The returned waveform keeps the step ends and the samples
+    without a copy, and only the samples are checked.
     """
     _require_matching_width(config, code)
     t_end = _positive("t_end", default_t_end(config, leak) if t_end is None else t_end)
@@ -316,34 +318,42 @@ def simulate_leaky_numeric(
     # a < b. A stretch of n >= 2 steps has h > dt / 2 >= t_end / (2 * 10**7)
     # by the sample budget, some 10**8 times the few ulps of t_end by which
     # a computed a + j h can be off, so the waveform keeps t unchecked
-    level = np.repeat(np.where(gates, config.v_set, 0.0), counts)
 
     # (-x) / tau equals x / (-tau) bit for bit; t / tau2 stays below the
     # sample budget, since dt <= 0.1 tau2
     ntau1 = -leak.tau1
     ntau2 = -config.tau2
     exp = math.exp
+    run_ends, driven, i = last.tolist(), gates.tolist(), 0
     values = np.empty(t.size)
     values[0] = v = leak.v0
-    for lo in range(0, level.size, _RK4_BLOCK):
-        hi = min(lo + _RK4_BLOCK, level.size)
+    for lo in range(0, run_ends[-1], _RK4_BLOCK):
+        hi = min(lo + _RK4_BLOCK, run_ends[-1])
         tb = t[lo : hi + 1]
         h = np.diff(tb)
         half = 0.5 * h
-        at = list(map(exp, (tb / ntau2).tolist()))
-        mid = map(exp, ((tb[:-1] + half) / ntau2).tolist())
-        lv = level[lo:hi].tolist()
-        out = []
-        for h1, h2, h6, f0, fm, f1 in zip(
-            h.tolist(), half.tolist(), (h / 6.0).tolist(),
-            map(mul, lv, at), map(mul, lv, mid), map(mul, lv, at[1:]),
-        ):
-            k1 = v / ntau1 + f0
-            k2 = (v + h2 * k1) / ntau1 + fm
-            k3 = (v + h2 * k2) / ntau1 + fm
-            k4 = (v + h1 * k3) / ntau1 + f1
-            v = v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            out.append(v)
+        h1s, h2s, h6s = h.tolist(), half.tolist(), (h / 6.0).tolist()
+        at = (tb / ntau2).tolist()
+        mid = ((tb[:-1] + half) / ntau2).tolist()
+        # the block's runs of equal gate, driven or at level 0.0 with no exp
+        out, a = [], 0
+        while a < hi - lo:
+            b = min(run_ends[i], hi) - lo
+            if driven[i]:
+                lv, em, e1 = config.v_set, map(exp, mid[a:b]), map(exp, at[a : b + 1])
+            else:
+                lv, em, e1 = 0.0, repeat(0.0), repeat(0.0)
+            f1 = lv * next(e1)
+            for h1, h2, h6, m, e in zip(h1s[a:b], h2s[a:b], h6s[a:b], em, e1):
+                f0, fm, f1 = f1, lv * m, lv * e
+                k1 = v / ntau1 + f0
+                k2 = (v + h2 * k1) / ntau1 + fm
+                k3 = (v + h2 * k2) / ntau1 + fm
+                k4 = (v + h1 * k3) / ntau1 + f1
+                v = v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                out.append(v)
+            i += run_ends[i] <= hi  # unless the run goes on in the next block
+            a = b
         values[lo + 1 : hi + 1] = out
     return Waveform._own(t, values)
 

@@ -69,6 +69,21 @@ def exp_calls(monkeypatch):
 
 
 @pytest.fixture
+def math_exp_calls(monkeypatch):
+    """Count the ``math.exp`` calls a test makes.
+
+    The q slot weights share their q + 1 exponentials, so slot weights that
+    take 2q calls compute every interior exponential twice. The RK4 oracle
+    reads ``math.exp`` when it is called and takes exponentials on driven
+    steps only, so an oracle that takes about two per step has gone back to
+    evaluating the drive of undriven steps.
+    """
+    counts = Counter()
+    monkeypatch.setattr(math, "exp", _counted(counts, "exp", math.exp))
+    return counts
+
+
+@pytest.fixture
 def expm1_sizes(monkeypatch):
     """Record the size of every ``np.expm1`` call a test makes.
 
@@ -85,18 +100,6 @@ def expm1_sizes(monkeypatch):
 
     monkeypatch.setattr(np, "expm1", recorded)
     return sizes
-
-
-@pytest.fixture
-def math_exp_calls(monkeypatch):
-    """Count the ``math.exp`` calls a test makes.
-
-    The q slot weights share their q + 1 exponentials, so slot weights that
-    take 2q calls compute every interior exponential twice.
-    """
-    counts = Counter()
-    monkeypatch.setattr(math, "exp", _counted(counts, "exp", math.exp))
-    return counts
 
 
 @pytest.fixture
